@@ -28,7 +28,6 @@ from .params import (
     Strong,
     Weak,
     droplet,
-    ensemble_for,
     local_scale_delta,
     macroscopic_density,
     potential_q,

@@ -354,11 +354,7 @@ def limiting_f(regime: RegimeSpec, z: complex, w: complex, variant: str | None =
     if isinstance(regime, Strong):
         if variant not in (None, "s"):
             raise DomainError(f"variant {variant!r} inconsistent with Strong regime")
-        radii = regime.limit_radii
-        at_edge = math.isclose(regime.p, radii.r1, rel_tol=1e-12, abs_tol=1e-12) or math.isclose(
-            regime.p, radii.r2, rel_tol=1e-12, abs_tol=1e-12
-        )
-        if not at_edge:
+        if not regime.at_edge:
             return 2.0 * cmath.exp(-((z - w) ** 2))
         return cmath.exp(-((z - w) ** 2)) * erfc_c(z + w) - cmath.exp(
             -2.0 * z * z

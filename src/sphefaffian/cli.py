@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
+import re
 import sys
 
 import numpy as np
@@ -61,8 +61,8 @@ def _base_meta(args, params: EnsembleParams | None = None) -> dict:
 
 def _params_from_args(args, need_int: bool = False) -> EnsembleParams:
     if getattr(args, "n_over_N_sq", False):
-        if args.rho is None:
-            raise SystemExit2("--n-over-N-sq requires --rho")
+        if not args.rho:
+            raise SystemExit2("--n-over-N-sq requires a nonzero --rho")
         n = args.N * args.N / (args.rho * args.rho)
         L = n - args.N
         if need_int:
@@ -103,15 +103,20 @@ def _parse_grid(spec: str):
         lo, hi, step = (float(tok) for tok in spec.split(":"))
     except ValueError as exc:
         raise SystemExit2(f"bad grid spec {spec!r}, expected lo:hi:step") from exc
-    if step <= 0 or hi < lo:
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
         raise SystemExit2(f"bad grid spec {spec!r}")
-    axis = np.arange(lo, hi + 0.5 * step, step)
-    return axis
+    try:
+        return np.arange(lo, hi + 0.5 * step, step)
+    except ValueError as exc:  # more points than an array can hold
+        raise SystemExit2(f"bad grid spec {spec!r}: {exc}") from exc
 
 
 def _parse_point(spec: str) -> complex:
-    re, im = (float(tok) for tok in spec.split(","))
-    return complex(re, im)
+    try:
+        x, y = (float(tok) for tok in spec.split(","))
+    except ValueError as exc:
+        raise SystemExit2(f"bad point {spec!r}, expected re,im") from exc
+    return complex(x, y)
 
 
 def _parse_stat(spec: str):
@@ -122,7 +127,10 @@ def _parse_stat(spec: str):
     if spec == "r":
         return RadialStatistic.radius()
     if spec.startswith("const:"):
-        return RadialStatistic.constant(float(spec.split(":", 1)[1]))
+        try:
+            return RadialStatistic.constant(float(spec.split(":", 1)[1]))
+        except ValueError as exc:
+            raise SystemExit2(f"bad constant statistic {spec!r}") from exc
     raise SystemExit2(f"unknown statistic {spec!r} (use r2, r, or const:<value>)")
 
 
@@ -153,10 +161,14 @@ def cmd_sample(args) -> int:
     return 0
 
 
+def _grid_values(axis, f):
+    """(x, y, f(x + iy)) over the square grid axis x axis, row by row."""
+    return [(float(x), float(y), f(complex(x, y))) for x in axis for y in axis]
+
+
 def cmd_kernel(args) -> int:
-    from .cdi import limiting_f  # noqa: F401 (regime validation path)
-    from .finitekernel import rescaled_kernel
-    from .limits import LimitKernelSpec, kappa
+    from .finitekernel import rescaled_kernel, rescaled_r1
+    from .limits import kappa
 
     axis = _parse_grid(args.grid)
     w = _parse_point(args.w_point)
@@ -165,82 +177,66 @@ def cmd_kernel(args) -> int:
     out = args.out or "kernel"
 
     if args.limit:
-        spec = {
-            "strong-bulk": LimitKernelSpec("strong_bulk"),
-            "strong-edge": LimitKernelSpec("strong_edge"),
-            "weak": LimitKernelSpec("weak", rho=args.rho) if args.rho else None,
-            "origin": LimitKernelSpec("origin", L=float(args.L)),
-        }.get(args.limit)
-        if spec is None:
-            raise SystemExit2(f"--limit {args.limit} needs its parameter (--rho/--L)")
+        spec = _named_limit_spec("--limit", args.limit, args)
         meta["limit"] = args.limit
-        rows = []
-        for x in axis:
-            for y in axis:
-                z = complex(x, y)
-                v = kappa(spec, z, w)
-                rows.append((float(x), float(y), float(v.real), float(v.imag)))
-        _write_csv(out + ".csv", meta, ["re_z", "im_z", "re_val", "im_val"], rows)
-        print(f"wrote {len(rows)} limit-kernel values to {out}.csv")
-        return 0
-
-    regime = _regime_from_args(args)
-    if args.r1:
-        from .finitekernel import rescaled_r1
-
+        what, f = "limit-kernel", lambda z: kappa(spec, z, w)
+    else:
+        regime = _regime_from_args(args)
+        if args.compare:
+            try:
+                ns = [int(tok) for tok in args.N_list.split(",")]
+            except ValueError as exc:
+                raise SystemExit2(f"bad --N-list {args.N_list!r}") from exc
+            spec = _limit_spec_for(regime)
+            sups = []
+            for n_size in ns:
+                params = regime.params_at(n_size)
+                errs = _grid_values(axis, lambda z: abs(
+                    np.exp(z * z + w * w) * rescaled_kernel(params, regime, z, w)
+                    - kappa(spec, z, w)))
+                sups.append(max([0.0] + [e for _, _, e in errs]))
+            payload = {"meta": meta, "N": ns, "sup_error": sups,
+                       "monotone": all(a > b for a, b in zip(sups, sups[1:]))}
+            _write_json(out + ".compare.json", payload)
+            print(json.dumps(payload["sup_error"]))
+            return 0
         params = regime.params_at(args.N)
         meta.update(_base_meta(args, params))
-        rows = []
-        for x in axis:
-            for y in axis:
-                z = complex(x, y)
-                v = rescaled_r1(params, regime, z)
-                rows.append((float(x), float(y), float(v), 0.0))
-        _write_csv(out + ".csv", meta, ["re_z", "im_z", "re_val", "im_val"], rows)
-        print(f"wrote {len(rows)} rescaled one-point values to {out}.csv")
-        return 0
-
-    if args.compare:
-        ns = [int(tok) for tok in args.N_list.split(",")]
-        spec = _limit_spec_for(regime)
-        sups = []
-        for n_size in ns:
-            params = regime.params_at(n_size)
-            worst = 0.0
-            for x in axis:
-                for y in axis:
-                    z = complex(x, y)
-                    kn = np.exp(z * z + w * w) * rescaled_kernel(params, regime, z, w)
-                    worst = max(worst, abs(kn - kappa(spec, z, w)))
-            sups.append(worst)
-        payload = {"meta": meta, "N": ns, "sup_error": sups,
-                   "monotone": all(a > b for a, b in zip(sups, sups[1:]))}
-        _write_json(out + ".compare.json", payload)
-        print(json.dumps(payload["sup_error"]))
-        return 0
-
-    params = regime.params_at(args.N)
-    meta.update(_base_meta(args, params))
-    rows = []
-    for x in axis:
-        for y in axis:
-            z = complex(x, y)
-            v = rescaled_kernel(params, regime, z, w)
-            rows.append((float(x), float(y), float(v.real), float(v.imag)))
+        if args.r1:
+            what, f = "rescaled one-point", lambda z: rescaled_r1(params, regime, z)
+        else:
+            what, f = "finite-N kernel", lambda z: rescaled_kernel(params, regime, z, w)
+    rows = [(x, y, float(v.real), float(v.imag)) for x, y, v in _grid_values(axis, f)]
     _write_csv(out + ".csv", meta, ["re_z", "im_z", "re_val", "im_val"], rows)
-    print(f"wrote {len(rows)} finite-N kernel values to {out}.csv")
+    print(f"wrote {len(rows)} {what} values to {out}.csv")
     return 0
+
+
+# CLI limit names and the LimitKernelSpec kinds they select
+_LIMIT_KINDS = {"strong-bulk": "strong_bulk", "strong-edge": "strong_edge",
+                "weak": "weak", "origin": "origin"}
+
+
+def _named_limit_spec(flag: str, name: str, args):
+    from .limits import LimitKernelSpec
+
+    kind = _LIMIT_KINDS.get(name)
+    if kind is None:
+        raise SystemExit2(f"unknown {flag} {name!r} (use one of {', '.join(_LIMIT_KINDS)})")
+    if kind == "weak":
+        if not args.rho:
+            raise SystemExit2(f"{flag} {name} needs its parameter (--rho)")
+        return LimitKernelSpec(kind, rho=args.rho)
+    if kind == "origin":
+        return LimitKernelSpec(kind, L=float(args.L))
+    return LimitKernelSpec(kind)
 
 
 def _limit_spec_for(regime):
     from .limits import LimitKernelSpec
 
     if isinstance(regime, Strong):
-        radii = regime.limit_radii
-        edge = math.isclose(regime.p, radii.r1, rel_tol=1e-12) or math.isclose(
-            regime.p, radii.r2, rel_tol=1e-12
-        )
-        return LimitKernelSpec("strong_edge" if edge else "strong_bulk")
+        return LimitKernelSpec("strong_edge" if regime.at_edge else "strong_bulk")
     if isinstance(regime, Weak):
         return LimitKernelSpec("weak", rho=regime.rho)
     return LimitKernelSpec("origin", L=regime.L)
@@ -265,16 +261,9 @@ def cmd_check(args) -> int:
         report.update(max_residual=worst, tolerance=tol_used)
         report["passed"] = worst <= tol_used
     elif args.what == "ode":
-        from .limits import LimitKernelSpec, ode_residual
+        from .limits import ode_residual
 
-        spec = {
-            "strong-bulk": LimitKernelSpec("strong_bulk"),
-            "strong-edge": LimitKernelSpec("strong_edge"),
-            "weak": LimitKernelSpec("weak", rho=args.rho) if args.rho else None,
-            "origin": LimitKernelSpec("origin", L=float(args.L)),
-        }.get(args.variant)
-        if spec is None:
-            raise SystemExit2(f"--variant {args.variant} needs its parameter")
+        spec = _named_limit_spec("--variant", args.variant, args)
         worst = 0.0
         grid = [complex(x, y) for x in (-0.6, 0.2, 0.7) for y in (-0.5, 0.4)]
         for z in grid:
@@ -380,8 +369,6 @@ def cmd_linstat(args) -> int:
     return 0
 
 
-import re
-
 _NEG_GRID = re.compile(r"^-\d+(\.\d*)?([:,]-?\d+(\.\d*)?)*$")
 
 
@@ -392,8 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # let grid specs like -2:2:0.1 pass as option values, not flags
     ap._negative_number_matcher = _NEG_GRID
-    ap.add_argument("--threads", type=int, default=None,
-                    help="override SPHEFAFFIAN_THREADS for this run")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_params(p, with_regime=True, regime_b_flag="--b"):
@@ -420,8 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pk = sub.add_parser("kernel", help="tabulate finite-N or limiting kernels")
     add_params(pk)
-    pk.add_argument("--limit", choices=["strong-bulk", "strong-edge", "weak", "origin"],
-                    default=None)
+    pk.add_argument("--limit", choices=list(_LIMIT_KINDS), default=None)
     pk.add_argument("--grid", default="-1:1:0.25")
     pk.add_argument("--w-point", dest="w_point", default="0.1,0.0")
     pk.add_argument("--r1", action="store_true",
@@ -462,8 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.threads is not None:
-        os.environ["SPHEFAFFIAN_THREADS"] = str(args.threads)
     try:
         return args.func(args)
     except SystemExit:

@@ -30,6 +30,7 @@ from .params import (
     local_scale_delta,
     log_weight_omega,
 )
+from .pfaffian import pfaffian_intensity
 
 __all__ = [
     "SkewOPSystem",
@@ -310,38 +311,16 @@ def correlation_rk(params: EnsembleParams, points) -> float:
     (zeta_1, conj(zeta_1), ..., zeta_k, conj(zeta_k)) with entries
     omega(zeta_j) omega(zeta_l) ktilde(., .), takes the Pfaffian and
     multiplies by prod_j (conj(zeta_j) - zeta_j).  The result is real up
-    to rounding; an imaginary residue above 1e-9 relative raises.
+    to rounding; an imaginary residue above 1e-9 of the Hadamard scale
+    raises (see ``pfaffian.pfaffian_intensity``).
     """
-    from .pfaffian import pfaffian
+    def entry(x: complex, y: complex) -> complex:
+        m, v = _kernel_scaled(params, x, y)
+        if v == 0:
+            return 0.0 + 0.0j
+        return cmath.exp(m + log_weight_omega(params, x) + log_weight_omega(params, y)) * v
 
-    pts = [complex(p) for p in points]
-    k = len(pts)
-    if k < 1:
-        raise DomainError("correlation_rk needs at least one point")
-    logw = [log_weight_omega(params, p) for p in pts]
-    doubled = []
-    for p in pts:
-        doubled.append(p)
-        doubled.append(p.conjugate())
-    a = np.zeros((2 * k, 2 * k), dtype=complex)
-    for r in range(2 * k):
-        for c in range(r + 1, 2 * k):
-            m, v = _kernel_scaled(params, doubled[r], doubled[c])
-            if v == 0:
-                continue
-            entry = cmath.exp(m + logw[r // 2] + logw[c // 2]) * v
-            a[r, c] = entry
-            a[c, r] = -entry
-    if not np.all(np.isfinite(a)):
-        raise NumericalError("non-finite kernel entries in correlation matrix")
-    pf = pfaffian(a)
-    for p in pts:
-        pf *= p.conjugate() - p
-    if abs(pf) > 0 and abs(pf.imag) > 1e-9 * abs(pf):
-        raise NumericalError(
-            f"correlation has imaginary residue {pf.imag:.3e} vs magnitude {abs(pf):.3e}"
-        )
-    return pf.real
+    return pfaffian_intensity(points, entry, tol=1e-9)
 
 
 def _check_regime(params: EnsembleParams, regime: RegimeSpec) -> None:

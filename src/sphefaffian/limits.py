@@ -13,12 +13,12 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import rgamma
 
-from .errors import BranchWarning, DomainError, NumericalError, QuadratureError
+from .errors import BranchWarning, DomainError, QuadratureError
 from .params import Origin, RegimeSpec, Strong, Weak
+from .pfaffian import pfaffian_intensity
 from .specfun import erf_c, erfc_c, mittag_leffler, reg_inc_gamma_p
 
 __all__ = [
@@ -225,28 +225,8 @@ def ode_residual(spec: LimitKernelSpec, z: complex, w: complex):
 
 def limit_rk(spec: LimitKernelSpec, points) -> float:
     """k-point limiting intensity via the 2k x 2k Pfaffian assembly."""
-    from .pfaffian import pfaffian
 
-    pts = [complex(p) for p in points]
-    k = len(pts)
-    if k < 1:
-        raise DomainError("limit_rk needs at least one point")
-    doubled = []
-    for p in pts:
-        doubled.append(p)
-        doubled.append(p.conjugate())
-    a = np.zeros((2 * k, 2 * k), dtype=complex)
-    for r in range(2 * k):
-        for c in range(r + 1, 2 * k):
-            val = kappa(spec, doubled[r], doubled[c])
-            entry = cmath.exp(-abs(pts[r // 2]) ** 2 - abs(pts[c // 2]) ** 2) * val
-            a[r, c] = entry
-            a[c, r] = -entry
-    if not np.all(np.isfinite(a)):
-        raise NumericalError("non-finite limit-kernel entries")
-    pf = pfaffian(a)
-    for p in pts:
-        pf *= p.conjugate() - p
-    if abs(pf) > 0 and abs(pf.imag) > 1e-8 * abs(pf):
-        raise NumericalError(f"limit Rk has imaginary residue {pf.imag:.3e}")
-    return pf.real
+    def entry(x: complex, y: complex) -> complex:
+        return cmath.exp(-abs(x) ** 2 - abs(y) ** 2) * kappa(spec, x, y)
+
+    return pfaffian_intensity(points, entry, tol=1e-8)

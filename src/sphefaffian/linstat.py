@@ -101,31 +101,12 @@ def _log_ul_closed(params: EnsembleParams, l: int) -> float:
 def ul_moments(params: EnsembleParams, stat: RadialStatistic | None, k_fourier: float):
     """Radial moments u_l and phase-weighted u_l(b) for l = 0..N-1.
 
-    u_l comes from adaptive quadrature when the monomial exponent
-    4l+4L+3 <= 60 (cross-checked against the closed gamma form to 1e-10),
-    and from the closed form beyond that.  u_l(b) adds e^{i k b(r)}.
+    u_l is the closed gamma form; u_l(b) adds e^{i k b(r)}.
     """
     uls = np.empty(params.N)
     ul_bs = np.empty(params.N, dtype=complex)
     for l in range(params.N):
-        log_closed = _log_ul_closed(params, l)
-        if 4 * l + 4 * params.L + 3 <= 60.0:
-            n, L = params.n, params.L
-            a_exp = 2 * l + 2 * L + 1.0
-            b_exp = 2 * (n - l) - 1.0
-
-            def raw(t):
-                return 0.5 * math.exp(a_exp * math.log(t) + b_exp * math.log1p(-t))
-
-            val, _ = quad(raw, 0.0, 1.0, epsabs=1e-300, epsrel=1e-13, limit=200)
-            if abs(val - math.exp(log_closed)) > 1e-12 * abs(val):
-                raise QuadratureError(
-                    f"u_{l} quadrature disagrees with the gamma closed form: "
-                    f"{val!r} vs {math.exp(log_closed)!r}"
-                )
-            uls[l] = val
-        else:
-            uls[l] = math.exp(log_closed)
+        uls[l] = math.exp(_log_ul_closed(params, l))
         if stat is None or k_fourier == 0.0:
             ul_bs[l] = uls[l]
         else:

@@ -26,7 +26,6 @@ __all__ = [
     "Weak",
     "Origin",
     "RegimeSpec",
-    "ensemble_for",
     "potential_q",
     "weight_omega",
     "droplet",
@@ -93,6 +92,14 @@ class Strong:
             r1=math.sqrt(self.a / (self.b + 1.0)), r2=math.sqrt((self.a + 1.0) / self.b)
         )
 
+    @property
+    def at_edge(self) -> bool:
+        """Whether the zoom point p is an edge r1 or r2 of the limiting droplet."""
+        radii = self.limit_radii
+        return any(
+            math.isclose(self.p, r, rel_tol=1e-12, abs_tol=1e-12) for r in (radii.r1, radii.r2)
+        )
+
 
 @dataclass(frozen=True)
 class Weak:
@@ -138,11 +145,6 @@ class Origin:
 
 
 RegimeSpec = Union[Strong, Weak, Origin]
-
-
-def ensemble_for(regime: RegimeSpec, N: int) -> EnsembleParams:
-    """Concrete (N, n, L) for a regime at matrix size N."""
-    return regime.params_at(N)
 
 
 def potential_q(params: EnsembleParams, zeta: complex) -> float:

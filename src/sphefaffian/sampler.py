@@ -11,9 +11,7 @@ representatives are the sample.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,9 +221,8 @@ def _one_trial(params: EnsembleParams, rng: np.random.Generator, trial: int) -> 
 def sample_ensemble(params: EnsembleParams, trials: int, seed: int) -> SampleBatch:
     """Sample the matrix model; deterministic per (seed, trial index).
 
-    Requires integer n and L.  Honors SPHEFAFFIAN_THREADS for trial-level
-    parallelism (results are identical regardless of thread count because
-    each trial owns an independent child RNG stream).
+    Requires integer n and L.  Each trial owns an independent child RNG
+    stream.
     """
     if trials < 1:
         raise DomainError(f"need trials >= 1, got {trials}")
@@ -234,15 +231,9 @@ def sample_ensemble(params: EnsembleParams, trials: int, seed: int) -> SampleBat
             f"sampler needs integer n and L, got n={params.n}, L={params.L}"
         )
     children = np.random.SeedSequence(seed).spawn(trials)
-    rngs = [np.random.default_rng(c) for c in children]
-    threads = int(os.environ.get("SPHEFAFFIAN_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda t: _one_trial(params, rngs[t], t), range(trials))
-            )
-    else:
-        results = [_one_trial(params, rngs[t], t) for t in range(trials)]
+    results = [
+        _one_trial(params, np.random.default_rng(c), t) for t, c in enumerate(children)
+    ]
     return SampleBatch(
         seed=seed, params=params, trials=trials, eigen_pairs=tuple(results)
     )

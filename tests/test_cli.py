@@ -189,6 +189,25 @@ class TestLinstat:
         assert len(rows) - 1 == 5
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--N", "1", "--limit", "strong-bulk", "--w-point", "0.1"],
+    ["kernel", "--N", "1", "--limit", "strong-bulk", "--w-point", "a,b"],
+    ["kernel", "--N", "1", "--limit", "strong-bulk", "--w-point", "1,2,3"],
+    ["kernel", "--N", "10", "--regime", "strong", "--compare", "--N-list", "5,x"],
+    ["linstat", "--N", "4", "--n", "9", "--b", "const:abc"],
+    ["kernel", "--N", "1", "--limit", "strong-bulk", "--grid", "0:0.5:nan"],
+    ["kernel", "--N", "1", "--limit", "strong-bulk", "--grid", "0:inf:0.5"],
+    ["kernel", "--N", "1", "--limit", "strong-bulk", "--grid", "0:1:1e-300"],
+    ["sample", "--N", "4", "--n-over-N-sq", "--rho", "0", "--trials", "1"],
+    ["check", "ode", "--variant", "no-such-limit"],
+])
+def test_malformed_values_exit_2(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 class TestEntryPoint:
     def test_console_script_runs(self):
         proc = subprocess.run(

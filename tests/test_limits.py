@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import erfi
 
-from sphefaffian.errors import BranchWarning, DomainError
+from sphefaffian.errors import BranchWarning, DomainError, NumericalError
 from sphefaffian.limits import (
     LimitKernelSpec,
     f_profile,
@@ -19,10 +19,48 @@ from sphefaffian.limits import (
     ode_residual,
     wronskian_integral,
 )
+from sphefaffian.pfaffian import pfaffian_intensity
 from sphefaffian.specfun import erfc_c
 
 BULK = LimitKernelSpec("strong_bulk")
 EDGE = LimitKernelSpec("strong_edge")
+
+# three points close enough that R3 cancels far below its entries:
+# strong edge (perfbench seed 9) and weak rho=2 (perfbench seed 901)
+CLOSE_POINTS = [
+    (EDGE, [0.37629393518681375 + 0.2528056966643129j,
+            0.6125826499046769 - 0.172137687011584j,
+            0.4964205180408985 - 0.1466144320345231j]),
+    (LimitKernelSpec("weak", rho=2.0), [-0.4620611650814477 - 0.15508827166769493j,
+                                        -0.5771727411365966 - 0.10044031232558659j,
+                                        -0.24712246206893318 + 0.21608393209529952j]),
+]
+
+
+def _limit_entry(spec):
+    # the entry function limit_rk hands to pfaffian_intensity
+    def entry(x, y):
+        return cmath.exp(-abs(x) ** 2 - abs(y) ** 2) * kappa(spec, x, y)
+
+    return entry
+
+
+def _entry_matrix(entry, points):
+    doubled = [x for p in points for x in (p, p.conjugate())]
+    return [[entry(x, y) if r < c else -entry(y, x) if r > c else 0j
+             for c, y in enumerate(doubled)] for r, x in enumerate(doubled)]
+
+
+def _pfaffian_by_expansion(a):
+    # expansion along the first row, in the arithmetic of the entries
+    if not a:
+        return 1
+    total = 0
+    for j in range(1, len(a)):
+        rest = [i for i in range(1, len(a)) if i != j]
+        minor = [[a[r][c] for c in rest] for r in rest]
+        total += (-1) ** (j + 1) * a[0][j] * _pfaffian_by_expansion(minor)
+    return total
 
 
 class TestProfiles:
@@ -180,3 +218,42 @@ class TestLimitRk:
     def test_weak_one_point_positive(self):
         spec = LimitKernelSpec("weak", rho=2.0)
         assert limit_rk(spec, [0.6j]) > 0.0
+
+    @pytest.mark.parametrize("spec, points", CLOSE_POINTS)
+    def test_close_points_pass_residue_check(self, spec, points):
+        # |R3| cancels to 6e-14 (edge) and 1e-12 (weak) of the Hadamard scale
+        # here, so the residue is judged against that scale, not against |R3|.
+        # The value must still match the same entry matrix's Pfaffian in
+        # 30-digit mpmath; double elimination keeps 7-8 digits here (7.0e-8
+        # and 2.3e-8 relative), so the bound is 1e-6 relative.
+        mpmath = pytest.importorskip("mpmath")
+        got = limit_rk(spec, points)
+        a = _entry_matrix(_limit_entry(spec), points)
+        with mpmath.workdps(30):
+            ref = _pfaffian_by_expansion([[mpmath.mpc(v) for v in row] for row in a])
+            for p in points:
+                ref *= mpmath.mpc(p.conjugate() - p)
+            ref = complex(ref)
+        assert abs(got - ref.real) <= 1e-6 * abs(ref)
+
+    def test_broken_conjugate_symmetry_raises(self):
+        entry = _limit_entry(BULK)
+
+        for points in ([0.5j], [0.5j, 6.0 + 0.5j]):
+            with pytest.raises(NumericalError):
+                pfaffian_intensity(points, lambda x, y: (1 + 1e-3j) * entry(x, y), tol=1e-8)
+
+    def test_residue_check_at_close_points(self):
+        # R3 is 6e-14 of the Hadamard scale at these edge points.  A uniform
+        # phase on the entries multiplies R3 by (1+1e-3j)^3: the residue,
+        # 3e-3 |R3|, is far below 1e-8 of the scale and passes, and the real
+        # part moves by the factor 1 - 3e-6.  An additive break of 1e-4j,
+        # about 1% of the entries, leaves a residue of 1.5e-5 of the scale
+        # and raises.
+        points = CLOSE_POINTS[0][1]
+        entry = _limit_entry(EDGE)
+        r3 = pfaffian_intensity(points, entry, tol=1e-8)
+        phased = pfaffian_intensity(points, lambda x, y: (1 + 1e-3j) * entry(x, y), tol=1e-8)
+        assert phased == pytest.approx(r3 * (1 - 3e-6), rel=1e-8)
+        with pytest.raises(NumericalError):
+            pfaffian_intensity(points, lambda x, y: entry(x, y) + 1e-4j, tol=1e-8)

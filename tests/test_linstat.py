@@ -37,20 +37,22 @@ class TestMoments:
         assert np.allclose(ul_b, ul, rtol=1e-10)
 
     def test_closed_form_agrees_with_quadrature_band(self):
-        # parameters small enough that the quadrature path runs for all l
-        pa = EnsembleParams(N=4, n=8.0, L=1.0)
-        _, ul = ul_moments(pa, None, 0.0)
+        # u_l = (1/2) int_0^1 t^{2l+2L+1} (1-t)^{2(n-l)-1} dt by adaptive quad,
+        # for every degree with monomial exponent 4l+4L+3 <= 60
         from scipy.integrate import quad
 
-        for l, u in enumerate(ul):
-            want = quad(
-                lambda r: r ** (4 * l + 3) * math.exp(-2 * pa.N * (
-                    (pa.n + pa.L + 1) / pa.N * math.log1p(r * r)
-                    - pa.L / pa.N * math.log(r * r)
-                )),
-                0.0, np.inf, epsabs=1e-14, epsrel=1e-13,
-            )[0]
-            assert u == pytest.approx(want, rel=1e-10)
+        for N, n, L in ((4, 8.0, 1.0), (6, 12.0, 2.5), (20, 40.0, 1.0)):
+            pa = EnsembleParams(N=N, n=n, L=L)
+            _, ul = ul_moments(pa, None, 0.0)
+            degrees = [l for l in range(N) if 4 * l + 4 * L + 3 <= 60.0]
+            assert degrees
+            for l in degrees:
+                a_exp, b_exp = 2 * l + 2 * L + 1.0, 2 * (n - l) - 1.0
+                want = quad(
+                    lambda t: 0.5 * math.exp(a_exp * math.log(t) + b_exp * math.log1p(-t)),
+                    0.0, 1.0, epsabs=1e-300, epsrel=1e-13, limit=200,
+                )[0]
+                assert abs(ul[l] - want) <= 1e-12 * abs(want), f"N={N} l={l}"
 
 
 class TestCharFunction:

@@ -103,14 +103,6 @@ class TestSampling:
         for x, y in zip(b1.eigen_pairs, b2.eigen_pairs):
             assert np.array_equal(x, y)
 
-    def test_threads_do_not_change_results(self, monkeypatch):
-        pa = EnsembleParams(N=5, n=10.0, L=2.0)
-        serial = sample_ensemble(pa, trials=6, seed=9)
-        monkeypatch.setenv("SPHEFAFFIAN_THREADS", "3")
-        parallel = sample_ensemble(pa, trials=6, seed=9)
-        for x, y in zip(serial.eigen_pairs, parallel.eigen_pairs):
-            assert np.array_equal(x, y)
-
     def test_conjugate_closure_and_count(self):
         pa = EnsembleParams(N=8, n=16.0, L=4.0)
         batch = sample_ensemble(pa, trials=10, seed=3)

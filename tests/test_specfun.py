@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import gammaln, wofz
+from scipy.special import gammaln
 
 from sphefaffian.errors import ConvergenceError, DomainError
 from sphefaffian.specfun import (
@@ -50,8 +50,7 @@ class TestErfc:
         assert erfc_c(1.0).imag == 0.0
 
     def test_complex_value_via_quadrature(self):
-        # straight-ray quadrature of the defining integral at z = 2+3j,
-        # crossing both evaluation regions
+        # straight-ray quadrature of the defining integral at z = 2+3j
         z = 2.0 + 3.0j
 
         def seg(t):
@@ -78,19 +77,20 @@ class TestErfc:
         st.floats(-9.5, 9.5),
     )
     @settings(max_examples=80, deadline=None)
-    def test_against_faddeeva_package(self, x, y):
-        # scipy's wofz is an independent implementation: erfc(z) = e^{-z^2} w(iz)
+    def test_against_mpmath(self, x, y):
+        # erfc_c wraps scipy's Faddeeva code; mpmath at 30 digits is independent
+        mpmath = pytest.importorskip("mpmath")
         z = complex(x, y)
         if abs(z) > 10:
             return
-        ref = cmath.exp(-z * z) * wofz(1j * z)
+        with mpmath.workdps(30):
+            ref = complex(mpmath.erfc(mpmath.mpc(x, y)))
         got = erfc_c(z)
         assert abs(got - ref) <= 5e-12 * max(abs(ref), 1e-30)
 
     def test_accuracy_ring_fixtures(self):
         # frozen mpmath.erfc values (25 digits) at awkward points: small
-        # |erfc| near the real axis, large |erfc| near the imaginary axis,
-        # and points straddling the series/continued-fraction sectors
+        # |erfc| near the real axis and large |erfc| near the imaginary axis
         fixtures = {
             3.9 + 0.0j: 3.4792248597231745e-08 + 0.0j,
             1.5 + 9.0j: -9.789969765666903e32 + 1.2730264172383716e32j,
@@ -99,6 +99,20 @@ class TestErfc:
         }
         for z, want in fixtures.items():
             got = erfc_c(z)
+            assert abs(got - want) <= 1e-12 * abs(want), f"at z={z}"
+
+    def test_erf_small_ring_fixtures(self):
+        # frozen mpmath.erf values (30 digits) on |z| ~ 0.01, where scipy's
+        # erf is least accurate (about 1e-13 relative)
+        fixtures = {
+            0.01 + 0.0j: 0.011283415555849618 + 0.0j,
+            0.00848 + 0.005299j: 0.00956869464653536 + 0.005978907202672084j,
+            0.009998 + 0.000175j: 0.011281159368597325 + 0.00019744661850586205j,
+            0.0099j: 0.011171318720035751j,
+            0.006 - 0.008j: 0.0067706270560171835 - 0.009026900929023812j,
+        }
+        for z, want in fixtures.items():
+            got = erf_c(z)
             assert abs(got - want) <= 1e-12 * abs(want), f"at z={z}"
 
 
@@ -189,6 +203,15 @@ class TestIncBeta:
     def test_reflection_sum(self, x, a, b):
         total = reg_inc_beta(x, a, b) + reg_inc_beta(1.0 - x, b, a)
         assert abs(total - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("x", [0.5, 0.5 + 0.3j, 0.49])
+    def test_near_half_against_closed_form(self, x):
+        # I_x(1, b) = 1 - (1-x)^b; at Re x = 1/2 the series in x/(x-1) sits
+        # on its circle of convergence
+        for a, b in ((1.0, 0.5), (1.0, 3.7)):
+            want = 1.0 - (1.0 - x) ** b
+            assert abs(reg_inc_beta(x, a, b) - want) <= 1e-13
+            assert abs(reg_inc_beta(1.0 - x, b, a) - (1.0 - want)) <= 1e-13
 
     def test_cut_rejected(self):
         with pytest.raises(DomainError):
