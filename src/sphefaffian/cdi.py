@@ -11,6 +11,13 @@ with I_N a binomial-type sum in p = zeta*eta/(1+zeta*eta) and II_N, III_N
 binomial-type sums in q = eta^2/(1+eta^2).  Each sum also equals a
 difference of two regularised incomplete beta values, which is the form
 whose large-N asymptotics produce the limiting kernels.
+
+Large n+L puts single terms far outside double range, so the sums are
+carried in finitekernel's (scale, mantissa) convention: a value is
+exp(scale) * mantissa with a complex scale, a zero mantissa marking a
+vanishing factor.  Each term is exponentiated once, after its weight, and
+one still beyond double range raises NumericalError; cdi_residual compares
+its two sides at their common scale, so it never overflows.
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, rgamma
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, NumericalError, PoleError
+from .finitekernel import _check_regime, _common_scale, _kernel_dzeta_scaled, _scaled_sum
 from .params import EnsembleParams, Origin, RegimeSpec, Strong, Weak, local_scale_delta
 from .specfun import erfc_c, inc_gamma_entire_part, reg_inc_beta
 
@@ -88,161 +96,94 @@ def cdi_fractions(zeta: complex, eta: complex) -> CdiFractions:
     )
 
 
-def _sum_term1(params: EnsembleParams, p: complex) -> complex:
-    n, L, N = params.n, params.L, params.N
-    ks = np.arange(2 * N, dtype=float)
-    lbin = gammaln(2 * n + 2 * L) - gammaln(ks + 2 * L + 1) - gammaln(2 * n - ks)
-    if p == 0:
-        # only the k with exponent k+2L = 0 survives (k = 0, L = 0)
-        return complex(np.exp(lbin[0])) if L == 0 else 0.0 + 0.0j
-    lp = cmath.log(p)
-    lq = cmath.log(1.0 - p)
-    t = lbin + (ks + 2 * L) * lp + (2 * n - ks - 1) * lq
-    return complex(np.sum(np.exp(t)))
+def _power(lc: float, e: float, lz):
+    """exp(lc) zeta^e as (scale, mantissa), with lz = log zeta or None at zeta = 0."""
+    if lz is not None:
+        return lc + e * lz, 1.0
+    if e < 0:
+        raise PoleError(f"CDI prefactor zeta^{e:g} diverges at zeta = 0")
+    return (lc, 1.0) if e == 0 else (0.0, 0.0)
 
 
-def _raw_term1(params: EnsembleParams, zeta: complex, eta: complex) -> complex:
-    """Branch-consistent I_N: the prefactor (1+zeta*eta)^{2n+2L-1} is fused
-    into the sum, leaving powers of zeta*eta with per-variable principal
-    logs -- the same convention the kernel's double sum uses."""
-    n, L, N = params.n, params.L, params.N
-    ks = np.arange(2 * N, dtype=float)
-    lco = gammaln(2 * n + 2 * L + 2) - math.log(2.0) - gammaln(ks + 2 * L + 1) - gammaln(2 * n - ks)
-    if zeta == 0 or eta == 0:
-        if L == 0:
-            return complex(np.exp(lco[0]))
-        return 0.0 + 0.0j
-    lze = cmath.log(zeta) + cmath.log(eta)
-    t = lco + (ks + 2 * L) * lze
-    m = float(np.max(t.real))
-    return cmath.exp(m) * complex(np.sum(np.exp(t - m)))
+def _power_sum(lc, e, lx):
+    """sum_k exp(lc_k) x^{e_k} as (scale, mantissa), with lx = log x or None at x = 0."""
+    if lx is not None:
+        return _scaled_sum(lc + e * lx)
+    lc = lc[e == 0]  # at x = 0 only the x^0 terms survive
+    return _scaled_sum(lc) if lc.size else (0.0, 0.0)
 
 
-def _raw_term2(params: EnsembleParams, zeta: complex, eta: complex) -> complex:
-    n, L, N = params.n, params.L, params.N
-    if zeta == 0:
-        return 0.0 + 0.0j
-    ks = np.arange(N, dtype=float)
-    lco = (
-        _LOG_PI
-        + gammaln(2 * n + 2 * L + 2)
-        - (2 * L + 2 * n) * math.log(2.0)
-        - gammaln(N + L + 0.5)
-        - gammaln(n - N)
-        - gammaln(n - ks + 0.5)
-        - gammaln(ks + L + 1.0)
+def _log_prefactors(params: EnsembleParams, zeta: complex, eta: complex):
+    """Prefactors of I_N, II_N, III_N as (scale, mantissa) pairs: the constant
+    (2n+2L+1)(n+L), and zeta^{2N+2L} and zeta^{2L-1} times gamma ratios,
+    1/Gamma(L) making III vanish at L = 0."""
+    n, L, N, nl = params.n, params.L, params.N, params.nl
+    cdi_fractions(zeta, eta)  # the one pole check: zeta*eta = -1 or eta = +-i
+    lz = cmath.log(zeta) if zeta != 0 else None
+    lc = _LOG_PI + gammaln(2 * nl + 2) - 2 * nl * math.log(2.0) - gammaln(nl + 0.5)
+    return (
+        (math.log(2 * nl + 1) + math.log(nl), 1.0),
+        _power(lc - gammaln(N + L + 0.5) - gammaln(n - N), 2 * N + 2 * L, lz),
+        _power(lc - gammaln(n + 0.5) - gammaln(L), 2 * L - 1, lz) if L > 0 else (0.0, 0.0),
     )
-    lz = (2 * N + 2 * L) * cmath.log(zeta)
-    if eta == 0:
-        if L == 0:
-            return cmath.exp(lco[0] + lz)
+
+
+def _log_sums(params: EnsembleParams, zeta: complex, eta: complex):
+    """I_N, II_N, III_N before the weight (1+eta^2)^{-(n+L-1/2)}, as one
+    (prefactor, power sum) pair of (scale, mantissa) pairs per term.  The
+    power sums are the binomial sums in p and q times (1+zeta eta)^{2n+2L-1}
+    (I) or (1+eta^2)^{n+L-1/2} (II, III):
+
+        I:   sum_{k<2N} Gamma(2n+2L) / (Gamma(k+2L+1) Gamma(2n-k)) (zeta eta)^{k+2L}
+        II:  sum_{k<N} Gamma(n+L+1/2) / (Gamma(k+L+1) Gamma(n-k+1/2)) eta^{2k+2L}
+        III: sum_{k<N} Gamma(n+L+1/2) / (Gamma(k+L+3/2) Gamma(n-k)) eta^{2k+2L+1}
+    """
+    n, L, N, nl = params.n, params.L, params.N, params.nl
+    le = cmath.log(eta) if eta != 0 else None
+    lze = cmath.log(zeta) + le if zeta != 0 and eta != 0 else None
+    j = np.arange(2 * N, dtype=float)
+    k = j[:N]
+    lg = gammaln(nl + 0.5)
+    return list(zip(_log_prefactors(params, zeta, eta), (
+        _power_sum(gammaln(2 * nl) - gammaln(j + 2 * L + 1) - gammaln(2 * n - j), j + 2 * L, lze),
+        _power_sum(lg - gammaln(k + L + 1.0) - gammaln(n - k + 0.5), 2 * k + 2 * L, le),
+        _power_sum(lg - gammaln(k + L + 1.5) - gammaln(n - k), 2 * k + 2 * L + 1, le),
+    )))
+
+
+def _log_terms(params: EnsembleParams, zeta: complex, eta: complex):
+    """I_N, II_N, III_N as (scale, mantissa) pairs, weight included."""
+    sums = _log_sums(params, zeta, eta)
+    lw = -(params.nl - 0.5) * cmath.log(1.0 + eta * eta)
+    return [(lw + lp + m, c * s) for (lp, c), (m, s) in sums]
+
+
+def _unscale(scale: complex, mantissa: complex, shift: complex = 0.0) -> complex:
+    """exp(shift + scale) * mantissa in one exp, log(mantissa) folded in: a value
+    in double range neither overflows on the way nor rounds twice if subnormal."""
+    if mantissa == 0:
         return 0.0 + 0.0j
-    le = cmath.log(eta)
-    t = lco + lz + (2 * ks + 2 * L) * le
-    m = float(np.max(t.real))
-    return cmath.exp(m) * complex(np.sum(np.exp(t - m)))
-
-
-def _raw_term3(params: EnsembleParams, zeta: complex, eta: complex) -> complex:
-    n, L, N = params.n, params.L, params.N
-    if L <= 0 or zeta == 0 or eta == 0:
-        return 0.0 + 0.0j
-    ks = np.arange(N, dtype=float)
-    lco = (
-        _LOG_PI
-        + gammaln(2 * n + 2 * L + 2)
-        - (2 * L + 2 * n) * math.log(2.0)
-        - gammaln(n + 0.5)
-        - gammaln(L)
-        - gammaln(n - ks)
-        - gammaln(ks + L + 1.5)
-    )
-    t = lco + (2 * L - 1) * cmath.log(zeta) + (2 * ks + 2 * L + 1) * cmath.log(eta)
-    m = float(np.max(t.real))
-    return cmath.exp(m) * complex(np.sum(np.exp(t - m)))
-
-
-def _sum_term2(params: EnsembleParams, q: complex) -> complex:
-    n, L, N = params.n, params.L, params.N
-    ks = np.arange(N, dtype=float)
-    lbin = gammaln(n + L + 0.5) - gammaln(ks + L + 1.0) - gammaln(n - ks + 0.5)
-    if q == 0:
-        if L == 0:
-            return complex(np.exp(lbin[0]))
-        return 0.0 + 0.0j
-    lq_ = cmath.log(q)
-    l1q = cmath.log(1.0 - q)
-    t = lbin + (ks + L) * lq_ + (n - ks - 0.5) * l1q
-    return complex(np.sum(np.exp(t)))
-
-
-def _sum_term3(params: EnsembleParams, q: complex) -> complex:
-    n, L, N = params.n, params.L, params.N
-    ks = np.arange(N, dtype=float)
-    lbin = gammaln(n + L + 0.5) - gammaln(ks + L + 1.5) - gammaln(n - ks)
-    if q == 0:
-        return 0.0 + 0.0j  # exponents k+L+1/2 > 0 always
-    lq_ = cmath.log(q)
-    l1q = cmath.log(1.0 - q)
-    t = lbin + (ks + L + 0.5) * lq_ + (n - ks - 1.0) * l1q
-    return complex(np.sum(np.exp(t)))
-
-
-def _prefactors(params: EnsembleParams, zeta: complex, eta: complex):
-    """log-prefactors multiplying the three sums (before the global
-    (1+zeta^2)^{-(n+L+1/2)} of the identity)."""
-    n, L, N = params.n, params.L, params.N
-    oz = 1.0 + zeta * zeta
-    oe = 1.0 + eta * eta
-    oze = 1.0 + zeta * eta
-    if oze == 0 or oe == 0:
-        raise PoleError("CDI right-hand side has a pole at zeta*eta = -1 or eta = +-i")
-    lg1 = (
-        (2 * n + 2 * L - 1) * cmath.log(oze)
-        - (n + L - 0.5) * cmath.log(oe)
-        + math.log(2 * n + 2 * L + 1)
-        + math.log(n + L)
-    )
-    base2 = _LOG_PI + gammaln(2 * n + 2 * L + 2) - (2 * L + 2 * n) * math.log(2.0) - gammaln(
-        n + L + 0.5
-    )
-    lg2 = None
-    lg3 = None
-    if zeta != 0:
-        lg2 = base2 - gammaln(N + L + 0.5) - gammaln(n - N) + (2 * N + 2 * L) * cmath.log(zeta)
-        if L > 0:
-            lg3 = base2 - gammaln(n + 0.5) - gammaln(L) + (2 * L - 1) * cmath.log(zeta)
-    return lg1, lg2, lg3
+    x = shift + scale + cmath.log(mantissa)
+    if x.real < -708.0:  # subnormal: cmath.exp would round modulus, then phase
+        v = cmath.exp(x + 64 * math.log(2.0))
+        return complex(math.ldexp(v.real, -64), math.ldexp(v.imag, -64))
+    try:
+        return cmath.exp(x)
+    except OverflowError:
+        raise NumericalError(f"CDI term exp({x.real:.1f}) exceeds double range") from None
 
 
 def cdi_rhs(params: EnsembleParams, zeta: complex, eta: complex) -> CdiTerms:
     """The three CDI terms by their direct finite sums (log-domain assembly).
 
-    Each term is assembled in the pre-identity raw form with the
-    (1+zeta*eta) and (1+eta^2) prefactor powers fused into the sums and
-    powers of zeta, eta taken with per-variable principal logs.  In the
-    region where the Moebius fractions stay off their cuts this equals
-    the displayed binomial form term by term; elsewhere it is the branch
-    that matches the kernel's own power convention, so the derivative
-    identity holds on all of C^2 minus the poles.
-
-    Conventions: 1/Gamma(L) -> 0 at L = 0 makes term3 vanish identically;
-    at zeta = 0 term2 and term3 vanish through their zeta powers (term3
-    would diverge for 0 < L < 1/2 -- a PoleError).
+    Powers of zeta and eta take per-variable principal logs, the kernel's
+    own convention: off the Moebius fractions' cuts this is the displayed
+    binomial form, elsewhere the branch on which the derivative identity
+    holds on all of C^2 minus the poles.  1/Gamma(L) -> 0 makes term3
+    vanish at L = 0; at zeta = 0 term2 vanishes, and term3 too unless
+    L = 1/2 (it diverges for 0 < L < 1/2 -- a PoleError).
     """
-    zeta, eta = complex(zeta), complex(eta)
-    oe = 1.0 + eta * eta
-    if oe == 0 or 1.0 + zeta * eta == 0:
-        raise PoleError("CDI right-hand side has a pole at zeta*eta = -1 or eta = +-i")
-    if zeta == 0 and 0 < params.L < 0.5:
-        raise PoleError("term III diverges at zeta = 0 for 0 < L < 1/2")
-    lw = -(params.nl - 0.5) * cmath.log(oe)
-    weight = cmath.exp(lw)
-    return CdiTerms(
-        term1=weight * _raw_term1(params, zeta, eta),
-        term2=weight * _raw_term2(params, zeta, eta),
-        term3=weight * _raw_term3(params, zeta, eta),
-    )
+    return CdiTerms(*(_unscale(*t) for t in _log_terms(params, complex(zeta), complex(eta))))
 
 
 def cdi_rhs_beta_form(params: EnsembleParams, zeta: complex, eta: complex) -> CdiTerms:
@@ -254,28 +195,25 @@ def cdi_rhs_beta_form(params: EnsembleParams, zeta: complex, eta: complex) -> Cd
     with the a = 0 degenerate case I_x(0, b) = 1 (x != 0).
     """
     zeta, eta = complex(zeta), complex(eta)
-    n, L, N = params.n, params.L, params.N
+    n, L, N, nl = params.n, params.L, params.N, params.nl
     fr = cdi_fractions(zeta, eta)
-    lg1, lg2, lg3 = _prefactors(params, zeta, eta)
+    (l1, c1), (l2, c2), (l3, c3) = _log_prefactors(params, zeta, eta)
+    # the q-sums carry the weight (1-q)^{n+L-1/2} themselves; the p-sum
+    # needs it and (1+zeta*eta)^{2n+2L-1} in its prefactor
+    l1 += (2 * nl - 1) * cmath.log(1.0 + zeta * eta) - (nl - 0.5) * cmath.log(1.0 + eta * eta)
 
-    def beta_diff(x, a_lo, b_lo, a_hi, b_hi):
+    def term(scale, c, x, a_lo, b_lo, a_hi, b_hi):
+        if c == 0:
+            return 0.0 + 0.0j
         # a = 0 degenerates to unit mass at the lower end: I_x(0, b) = 1
         lo = 1.0 + 0.0j if a_lo == 0 else reg_inc_beta(x, a_lo, b_lo)
-        hi = reg_inc_beta(x, a_hi, b_hi)
-        return lo - hi
+        return _unscale(scale, c) * (lo - reg_inc_beta(x, a_hi, b_hi))
 
-    s1 = beta_diff(fr.p_frak, 2 * L, 2 * n, 2 * N + 2 * L, 2 * n - 2 * N)
-    t1 = cmath.exp(lg1) * s1
-    if zeta == 0:
-        return CdiTerms(term1=t1, term2=0.0 + 0.0j, term3=0.0 + 0.0j)
-    s2 = beta_diff(fr.q_frak, L, n + 0.5, N + L, n - N + 0.5)
-    t2 = cmath.exp(lg2) * s2
-    if L > 0:
-        s3 = beta_diff(fr.q_frak, L + 0.5, n, N + L + 0.5, n - N)
-        t3 = cmath.exp(lg3) * s3
-    else:
-        t3 = 0.0 + 0.0j
-    return CdiTerms(term1=t1, term2=t2, term3=t3)
+    return CdiTerms(
+        term1=term(l1, c1, fr.p_frak, 2 * L, 2 * n, 2 * N + 2 * L, 2 * n - 2 * N),
+        term2=term(l2, c2, fr.q_frak, L, n + 0.5, N + L, n - N + 0.5),
+        term3=term(l3, c3, fr.q_frak, L + 0.5, n, N + L + 0.5, n - N),
+    )
 
 
 def cdi_derivative(params: EnsembleParams, zeta: complex, eta: complex,
@@ -286,21 +224,21 @@ def cdi_derivative(params: EnsembleParams, zeta: complex, eta: complex,
     if oz == 0:
         raise PoleError("derivative has a pole at zeta = +-i")
     terms = cdi_rhs_beta_form(params, zeta, eta) if beta_form else cdi_rhs(params, zeta, eta)
-    return cmath.exp(-(params.nl + 0.5) * cmath.log(oz)) * terms.combined
+    return _unscale(-(params.nl + 0.5) * cmath.log(oz), terms.combined)
 
 
 def cdi_residual(params: EnsembleParams, zeta: complex, eta: complex) -> float:
     """Relative residual between the exact term-by-term kernel derivative
     and the closed-form right-hand side.  The derivative route never sees
-    the RHS formulas, so this is a genuine two-sided identity check."""
-    from .finitekernel import skew_kernel_tilde_dzeta
-
-    lhs = skew_kernel_tilde_dzeta(params, zeta, eta)
-    rhs = cdi_derivative(params, zeta, eta)
-    denom = max(abs(lhs), abs(rhs))
-    if denom == 0:
-        return 0.0
-    return abs(lhs - rhs) / denom
+    the RHS formulas, so this is a genuine two-sided identity check.  The
+    sides meet at their common scale, so it is finite at any N."""
+    zeta, eta = complex(zeta), complex(eta)
+    lhs = _kernel_dzeta_scaled(params, zeta, eta)
+    lz = -(params.nl + 0.5) * cmath.log(1.0 + zeta * zeta)
+    m, (t1, t2, t3) = _common_scale([(lz + x, s) for x, s in _log_terms(params, zeta, eta)])
+    _, (a, b) = _common_scale([lhs, (m, t1 - t2 - t3)])
+    denom = max(abs(a), abs(b))
+    return abs(a - b) / denom if denom else 0.0
 
 
 def rescaled_cdi_terms(
@@ -310,10 +248,10 @@ def rescaled_cdi_terms(
 
     dz kappa_tilde_N(z, w) = I1*I2 - II1*II2 - III1*III2 with the (1)
     factors carrying all prefactors (including the (1+p^2)^-3 (N delta)^-2
-    rescaling) and the (2) factors being the order-one binomial sums.
+    rescaling) and the (2) factors being the order-one binomial sums in
+    p and q: the power sums times (1+zeta*eta)^{-(2n+2L-1)} for I and the
+    weight (1+eta^2)^{-(n+L-1/2)} for II and III.
     """
-    from .finitekernel import _check_regime
-
     _check_regime(params, regime)
     n, L, N = params.n, params.L, params.N
     p = regime.p
@@ -321,27 +259,16 @@ def rescaled_cdi_terms(
     s = math.sqrt(N * d)
     zeta = p + complex(z) / s
     eta = p + complex(w) / s
-    fr = cdi_fractions(zeta, eta)
-    oz = 1.0 + zeta * zeta
-
-    lresc = -3.0 * math.log1p(p * p) - 2.0 * math.log(N * d)
-    lg1, lg2, lg3 = _prefactors(params, zeta, eta)
-    # lg1 carries I's prefactor without the identity's global
-    # (1+zeta^2)^{-(n+L+1/2)}; fold that in along with the rescaling.
-    i1 = cmath.exp(lresc + lg1 - (n + L + 0.5) * cmath.log(oz))
-    i2 = _sum_term1(params, fr.p_frak)
-    if zeta == 0:
-        ii1 = iii1 = 0.0 + 0.0j
-    else:
-        ii1 = cmath.exp(lresc + lg2 - (n + L + 0.5) * cmath.log(oz))
-        iii1 = (
-            cmath.exp(lresc + lg3 - (n + L + 0.5) * cmath.log(oz))
-            if L > 0
-            else 0.0 + 0.0j
-        )
-    ii2 = _sum_term2(params, fr.q_frak)
-    iii2 = _sum_term3(params, fr.q_frak)
-    return RescaledCdiTerms(i1=i1, i2=i2, ii1=ii1, ii2=ii2, iii1=iii1, iii2=iii2)
+    (i1, i2), (ii1, ii2), (iii1, iii2) = _log_sums(params, zeta, eta)
+    lg = (-3.0 * math.log1p(p * p) - 2.0 * math.log(N * d)
+          - (n + L + 0.5) * cmath.log(1.0 + zeta * zeta))
+    lk = (2 * n + 2 * L - 1) * cmath.log(1.0 + zeta * eta)
+    lw = -(n + L - 0.5) * cmath.log(1.0 + eta * eta)
+    return RescaledCdiTerms(
+        i1=_unscale(*i1, lg + lk + lw), i2=_unscale(*i2, -lk),
+        ii1=_unscale(*ii1, lg), ii2=_unscale(*ii2, lw),
+        iii1=_unscale(*iii1, lg), iii2=_unscale(*iii2, lw),
+    )
 
 
 def limiting_f(regime: RegimeSpec, z: complex, w: complex, variant: str | None = None) -> complex:

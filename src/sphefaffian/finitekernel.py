@@ -145,6 +145,22 @@ def _log_coeff_arrays(N: int, n: float, L: float):
     return la, lb, lpref
 
 
+def _scaled_sum(t, fac=1.0):
+    """(m, s) with sum(exp(t) * fac) = exp(m) * s, shifted by the largest Re t."""
+    m = float(np.max(t.real))
+    return m, complex(np.sum(np.exp(t - m) * fac))
+
+
+def _common_scale(pieces):
+    """Bring (scale, mantissa) pieces to their largest real scale m.
+
+    Returns (m, [exp(scale - m) * mantissa, ...]); a zero mantissa marks a
+    vanishing piece, which stays 0 and does not set m (0.0 if all vanish).
+    """
+    m = max((mi.real for mi, si in pieces if si != 0), default=0.0)
+    return m, [cmath.exp(mi - m) * si if si != 0 else 0.0 for mi, si in pieces]
+
+
 def _g_hat_scaled(params: EnsembleParams, zeta: complex, eta: complex,
                   d_dzeta: bool = False, d_deta: bool = False):
     """Scaled double sum: returns (M, S) with G_hat = exp(M) * S.
@@ -178,8 +194,7 @@ def _g_hat_scaled(params: EnsembleParams, zeta: complex, eta: complex,
         lz = cmath.log(zeta)
         t = lpref + la + lb[0] + (2 * ks + 2 * L + 1) * lz
         fac = (2 * ks + 2 * L + 1) / zeta if d_dzeta else 1.0
-        m = float(np.max(t.real))
-        return m, complex(np.sum(np.exp(t - m) * fac))
+        return _scaled_sum(t, fac)
 
     lz = cmath.log(zeta)
     le = cmath.log(eta)
@@ -193,8 +208,7 @@ def _g_hat_scaled(params: EnsembleParams, zeta: complex, eta: complex,
         fac = ((2 * Lo + 2 * L)[mask]) / eta
     else:
         fac = 1.0
-    m = float(np.max(tm.real))
-    return m, complex(np.sum(np.exp(tm - m) * fac))
+    return _scaled_sum(tm, fac)
 
 
 def g_hat(params: EnsembleParams, zeta: complex, eta: complex) -> complex:
@@ -226,14 +240,10 @@ def _kernel_scaled(params: EnsembleParams, zeta: complex, eta: complex):
     oe = 1.0 + eta * eta
     if oz == 0 or oe == 0:
         raise PoleError(f"skew kernel has a pole at zeta or eta = +-i (got {zeta}, {eta})")
-    m1, s1 = _g_hat_scaled(params, zeta, eta)
-    m2, s2 = _g_hat_scaled(params, eta, zeta)
-    if s1 == 0 and s2 == 0:
-        return 0.0, 0.0 + 0.0j
-    m = max(m1 if s1 != 0 else -math.inf, m2 if s2 != 0 else -math.inf)
-    diff = (cmath.exp(m1 - m) * s1 if s1 != 0 else 0.0) - (
-        cmath.exp(m2 - m) * s2 if s2 != 0 else 0.0
+    m, (g1, g2) = _common_scale(
+        [_g_hat_scaled(params, zeta, eta), _g_hat_scaled(params, eta, zeta)]
     )
+    diff = g1 - g2
     lw = -(params.nl - 0.5) * (cmath.log(oz) + cmath.log(oe))
     scale = m + lw.real
     return scale, diff * cmath.exp(1j * lw.imag)
@@ -245,34 +255,35 @@ def skew_kernel_tilde(params: EnsembleParams, zeta: complex, eta: complex) -> co
     return cmath.exp(m) * v if v != 0 else 0.0 + 0.0j
 
 
-def skew_kernel_tilde_dzeta(params: EnsembleParams, zeta: complex, eta: complex) -> complex:
-    """Exact d/dzeta of skew_kernel_tilde by term-by-term differentiation.
-
-    This is the independent oracle for the Christoffel-Darboux residual:
-    it never touches the closed-form right-hand side.
-    """
+def _kernel_dzeta_scaled(params: EnsembleParams, zeta: complex, eta: complex):
+    """(M, v) with skew_kernel_tilde_dzeta = exp(M) * v; M is complex."""
     zeta = complex(zeta)
     eta = complex(eta)
     oz = 1.0 + zeta * zeta
     oe = 1.0 + eta * eta
     if oz == 0 or oe == 0:
         raise PoleError("derivative requested at a kernel pole")
-    m1, s1 = _g_hat_scaled(params, zeta, eta)
-    m2, s2 = _g_hat_scaled(params, eta, zeta)
-    d1m, d1 = _g_hat_scaled(params, zeta, eta, d_dzeta=True)
-    d2m, d2 = _g_hat_scaled(params, eta, zeta, d_deta=True)
-    pieces = [(m1, s1), (m2, s2), (d1m, d1), (d2m, d2)]
-    m = max((mm for mm, ss in pieces if ss != 0), default=0.0)
-    khat = (cmath.exp(m1 - m) * s1 if s1 != 0 else 0.0) - (
-        cmath.exp(m2 - m) * s2 if s2 != 0 else 0.0
-    )
-    dkhat = (cmath.exp(d1m - m) * d1 if d1 != 0 else 0.0) - (
-        cmath.exp(d2m - m) * d2 if d2 != 0 else 0.0
-    )
+    m, (g1, g2, d1, d2) = _common_scale([
+        _g_hat_scaled(params, zeta, eta),
+        _g_hat_scaled(params, eta, zeta),
+        _g_hat_scaled(params, zeta, eta, d_dzeta=True),
+        _g_hat_scaled(params, eta, zeta, d_deta=True),
+    ])
+    khat, dkhat = g1 - g2, d1 - d2
     lw = -(params.nl - 0.5) * (cmath.log(oz) + cmath.log(oe))
     # d/dz [e^{lw} khat] = e^{lw} (dkhat - (n+L-1/2) * 2 zeta/(1+zeta^2) khat)
     inner = dkhat - (params.nl - 0.5) * 2.0 * zeta / oz * khat
-    return cmath.exp(m + lw) * inner
+    return m + lw, inner
+
+
+def skew_kernel_tilde_dzeta(params: EnsembleParams, zeta: complex, eta: complex) -> complex:
+    """Exact d/dzeta of skew_kernel_tilde by term-by-term differentiation.
+
+    This is the independent oracle for the Christoffel-Darboux residual:
+    it never touches the closed-form right-hand side.
+    """
+    m, v = _kernel_dzeta_scaled(params, zeta, eta)
+    return cmath.exp(m) * v
 
 
 def skew_kernel_via_sop(system: SkewOPSystem, zeta: complex, eta: complex) -> complex:

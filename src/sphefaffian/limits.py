@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import rgamma
 
+from .cdi import limiting_f
 from .errors import BranchWarning, DomainError, QuadratureError
 from .params import Origin, RegimeSpec, Strong, Weak
 from .pfaffian import pfaffian_intensity
@@ -213,8 +214,6 @@ def ode_residual(spec: LimitKernelSpec, z: complex, w: complex):
     the rescaled identity's limit (cdi.limiting_f), so this check couples
     the two modules through the same equation that defines the kernels.
     """
-    from .cdi import limiting_f
-
     z, w = complex(z), complex(w)
     h = 1e-5 * max(1.0, abs(z))
     dk = (_k_damped(spec, z + h, w) - _k_damped(spec, z - h, w)) / (2.0 * h)

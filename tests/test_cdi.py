@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sphefaffian.errors import DomainError
+from sphefaffian.errors import DomainError, NumericalError
 from sphefaffian.params import EnsembleParams, Origin, Strong, Weak
 from sphefaffian.cdi import (
     cdi_derivative,
@@ -51,6 +51,22 @@ class TestIdentity:
                 e = complex(y, x) + 0.35
                 assert cdi_residual(pa, z, e) < 1e-8
 
+    @pytest.mark.parametrize("L", [0.0, 0.5, 1.0])
+    def test_residual_at_zeta_zero(self, L):
+        # at L = 1/2 term III keeps zeta^0 = 1 at zeta = 0
+        pa = EnsembleParams(N=3, n=6.0, L=L)
+        assert cdi_residual(pa, 0.0, 0.3 + 0.1j) < 1e-8
+
+    def test_residual_finite_where_sides_exceed_double_range(self):
+        pa = Strong(a=1.0, b=1.0, p=1.0).params_at(400)
+        assert cdi_residual(pa, 1.3 + 0.1j, -0.4 + 0.3j) <= 1e-8
+
+    def test_term_beyond_double_range_is_a_numerical_error(self):
+        pa = Strong(a=1.0, b=1.0, p=1.0).params_at(400)
+        for fn in (cdi_rhs, cdi_derivative):
+            with pytest.raises(NumericalError):
+                fn(pa, 0.9 - 0.6j, 0.3 + 0.2j)
+
     def test_identity_second_parameter_set(self):
         # (1+z^2) d khat - 2 z (n+L-1/2) khat equals the three raw sums,
         # checked through the weighted form: both sides here are the full
@@ -96,16 +112,17 @@ class TestBetaForm:
 
 class TestRescaledIdentity:
     @pytest.mark.parametrize(
-        "regime,N",
+        "regime,N,z,w",
         [
-            (Strong(a=1.0, b=1.0, p=1.0), 20),
-            (Weak(rho=2.0), 20),
-            (Origin(L=1.0, b=1.0), 20),
+            pytest.param(Strong(a=1.0, b=1.0, p=1.0), 20, 0.3, 0.1j, id="regime0-20"),
+            pytest.param(Weak(rho=2.0), 20, 0.3, 0.1j, id="regime1-20"),
+            pytest.param(Origin(L=1.0, b=1.0), 20, 0.3, 0.1j, id="regime2-20"),
+            # zeta = 0, where II1 = III1 = 0
+            pytest.param(Origin(L=1.0, b=1.0), 20, 0.0, 0.3, id="regime3-20"),
         ],
     )
-    def test_six_factor_identity_vs_finite_difference(self, regime, N):
+    def test_six_factor_identity_vs_finite_difference(self, regime, N, z, w):
         pa = regime.params_at(N)
-        z, w = 0.3, 0.1j
         terms = rescaled_cdi_terms(pa, regime, z, w)
         h = 1e-5
         d1 = (rescaled_kernel(pa, regime, z + h, w) - rescaled_kernel(pa, regime, z - h, w)) / (2 * h)
