@@ -14,6 +14,7 @@ from .errors import (
     ConvergenceError,
     DimensionError,
     DomainError,
+    DoubleRangeError,
     NumericalError,
     PairingError,
     PoleError,
@@ -44,7 +45,6 @@ from .specfun import (
 )
 from .pfaffian import SkewMatrix, pfaffian
 from .finitekernel import (
-    KernelPoint,
     SkewOPSystem,
     correlation_rk,
     g_hat,

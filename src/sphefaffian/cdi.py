@@ -16,8 +16,9 @@ Large n+L puts single terms far outside double range, so the sums are
 carried in finitekernel's (scale, mantissa) convention: a value is
 exp(scale) * mantissa with a complex scale, a zero mantissa marking a
 vanishing factor.  Each term is exponentiated once, after its weight, and
-one still beyond double range raises NumericalError; cdi_residual compares
-its two sides at their common scale, so it never overflows.
+one still beyond double range raises DoubleRangeError (a NumericalError);
+cdi_residual compares its two sides at their common scale, so it never
+overflows.
 """
 
 from __future__ import annotations
@@ -29,9 +30,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, rgamma
 
-from .errors import DomainError, NumericalError, PoleError
-from .finitekernel import _check_regime, _common_scale, _kernel_dzeta_scaled, _scaled_sum
-from .params import EnsembleParams, Origin, RegimeSpec, Strong, Weak, local_scale_delta
+from .errors import DomainError, DoubleRangeError, PoleError
+from .finitekernel import (
+    _common_scale,
+    _kernel_dzeta_scaled,
+    _log,
+    _power_sum,
+    _relative_gap,
+    _zoom,
+)
+from .params import EnsembleParams, Origin, RegimeSpec, Strong, Weak
 from .specfun import erfc_c, inc_gamma_entire_part, reg_inc_beta
 
 __all__ = [
@@ -105,21 +113,13 @@ def _power(lc: float, e: float, lz):
     return (lc, 1.0) if e == 0 else (0.0, 0.0)
 
 
-def _power_sum(lc, e, lx):
-    """sum_k exp(lc_k) x^{e_k} as (scale, mantissa), with lx = log x or None at x = 0."""
-    if lx is not None:
-        return _scaled_sum(lc + e * lx)
-    lc = lc[e == 0]  # at x = 0 only the x^0 terms survive
-    return _scaled_sum(lc) if lc.size else (0.0, 0.0)
-
-
 def _log_prefactors(params: EnsembleParams, zeta: complex, eta: complex):
     """Prefactors of I_N, II_N, III_N as (scale, mantissa) pairs: the constant
     (2n+2L+1)(n+L), and zeta^{2N+2L} and zeta^{2L-1} times gamma ratios,
     1/Gamma(L) making III vanish at L = 0."""
     n, L, N, nl = params.n, params.L, params.N, params.nl
     cdi_fractions(zeta, eta)  # the one pole check: zeta*eta = -1 or eta = +-i
-    lz = cmath.log(zeta) if zeta != 0 else None
+    lz = _log(zeta)
     lc = _LOG_PI + gammaln(2 * nl + 2) - 2 * nl * math.log(2.0) - gammaln(nl + 0.5)
     return (
         (math.log(2 * nl + 1) + math.log(nl), 1.0),
@@ -139,8 +139,8 @@ def _log_sums(params: EnsembleParams, zeta: complex, eta: complex):
         III: sum_{k<N} Gamma(n+L+1/2) / (Gamma(k+L+3/2) Gamma(n-k)) eta^{2k+2L+1}
     """
     n, L, N, nl = params.n, params.L, params.N, params.nl
-    le = cmath.log(eta) if eta != 0 else None
-    lze = cmath.log(zeta) + le if zeta != 0 and eta != 0 else None
+    le = _log(eta)
+    lze = None if zeta == 0 or le is None else cmath.log(zeta) + le
     j = np.arange(2 * N, dtype=float)
     k = j[:N]
     lg = gammaln(nl + 0.5)
@@ -158,6 +158,14 @@ def _log_terms(params: EnsembleParams, zeta: complex, eta: complex):
     return [(lw + lp + m, c * s) for (lp, c), (m, s) in sums]
 
 
+def _derivative_weight(params: EnsembleParams, zeta: complex) -> complex:
+    """log (1+zeta^2)^{-(n+L+1/2)}, the derivative's weight, with its pole at zeta = +-i."""
+    oz = 1.0 + zeta * zeta
+    if oz == 0:
+        raise PoleError("derivative has a pole at zeta = +-i")
+    return -(params.nl + 0.5) * cmath.log(oz)
+
+
 def _unscale(scale: complex, mantissa: complex, shift: complex = 0.0) -> complex:
     """exp(shift + scale) * mantissa in one exp, log(mantissa) folded in: a value
     in double range neither overflows on the way nor rounds twice if subnormal."""
@@ -170,7 +178,7 @@ def _unscale(scale: complex, mantissa: complex, shift: complex = 0.0) -> complex
     try:
         return cmath.exp(x)
     except OverflowError:
-        raise NumericalError(f"CDI term exp({x.real:.1f}) exceeds double range") from None
+        raise DoubleRangeError(f"CDI term exp({x.real:.1f}) exceeds double range") from None
 
 
 def cdi_rhs(params: EnsembleParams, zeta: complex, eta: complex) -> CdiTerms:
@@ -220,11 +228,9 @@ def cdi_derivative(params: EnsembleParams, zeta: complex, eta: complex,
                    beta_form: bool = False) -> complex:
     """d/dzeta of the skew-kernel assembled from the closed-form RHS."""
     zeta = complex(zeta)
-    oz = 1.0 + zeta * zeta
-    if oz == 0:
-        raise PoleError("derivative has a pole at zeta = +-i")
+    lw = _derivative_weight(params, zeta)
     terms = cdi_rhs_beta_form(params, zeta, eta) if beta_form else cdi_rhs(params, zeta, eta)
-    return _unscale(-(params.nl + 0.5) * cmath.log(oz), terms.combined)
+    return _unscale(lw, terms.combined)
 
 
 def cdi_residual(params: EnsembleParams, zeta: complex, eta: complex) -> float:
@@ -234,11 +240,9 @@ def cdi_residual(params: EnsembleParams, zeta: complex, eta: complex) -> float:
     sides meet at their common scale, so it is finite at any N."""
     zeta, eta = complex(zeta), complex(eta)
     lhs = _kernel_dzeta_scaled(params, zeta, eta)
-    lz = -(params.nl + 0.5) * cmath.log(1.0 + zeta * zeta)
+    lz = _derivative_weight(params, zeta)
     m, (t1, t2, t3) = _common_scale([(lz + x, s) for x, s in _log_terms(params, zeta, eta)])
-    _, (a, b) = _common_scale([lhs, (m, t1 - t2 - t3)])
-    denom = max(abs(a), abs(b))
-    return abs(a - b) / denom if denom else 0.0
+    return _relative_gap(lhs, (m, t1 - t2 - t3))
 
 
 def rescaled_cdi_terms(
@@ -252,16 +256,11 @@ def rescaled_cdi_terms(
     p and q: the power sums times (1+zeta*eta)^{-(2n+2L-1)} for I and the
     weight (1+eta^2)^{-(n+L-1/2)} for II and III.
     """
-    _check_regime(params, regime)
-    n, L, N = params.n, params.L, params.N
-    p = regime.p
-    d = local_scale_delta(params, p)
-    s = math.sqrt(N * d)
-    zeta = p + complex(z) / s
-    eta = p + complex(w) / s
+    n, L = params.n, params.L
+    nd, (zeta, eta) = _zoom(params, regime, z, w)
+    lg = (-3.0 * math.log1p(regime.p * regime.p) - 2.0 * math.log(nd)
+          + _derivative_weight(params, zeta))
     (i1, i2), (ii1, ii2), (iii1, iii2) = _log_sums(params, zeta, eta)
-    lg = (-3.0 * math.log1p(p * p) - 2.0 * math.log(N * d)
-          - (n + L + 0.5) * cmath.log(1.0 + zeta * zeta))
     lk = (2 * n + 2 * L - 1) * cmath.log(1.0 + zeta * eta)
     lw = -(n + L - 0.5) * cmath.log(1.0 + eta * eta)
     return RescaledCdiTerms(

@@ -242,11 +242,14 @@ def _limit_spec_for(regime):
     return LimitKernelSpec("origin", L=regime.L)
 
 
+# default tolerance of each `check`
+_CHECK_TOL = {"cdi": 1e-8, "ode": 1e-6, "sop-equiv": 1e-10, "beta": 1e-9}
+
+
 def cmd_check(args) -> int:
     import numpy.random as npr
 
     report = {"version": __version__, "check": args.what, "passed": True}
-    tol_used = None
     if args.what == "cdi":
         from .cdi import cdi_residual
 
@@ -257,9 +260,7 @@ def cmd_check(args) -> int:
             z = rng.normal(scale=0.4) + 1j * rng.normal(scale=0.4)
             e = rng.normal(scale=0.4) + 1j * rng.normal(scale=0.4)
             worst = max(worst, cdi_residual(params, z, e))
-        tol_used = args.tol if args.tol is not None else 1e-8
-        report.update(max_residual=worst, tolerance=tol_used)
-        report["passed"] = worst <= tol_used
+        report.update(max_residual=worst)
     elif args.what == "ode":
         from .limits import ode_residual
 
@@ -270,26 +271,18 @@ def cmd_check(args) -> int:
             for w in grid:
                 r, diag = ode_residual(spec, z, w)
                 worst = max(worst, r, diag)
-        tol_used = args.tol if args.tol is not None else 1e-6
-        report.update(variant=args.variant, max_residual=worst, tolerance=tol_used)
-        report["passed"] = worst <= tol_used
+        report.update(variant=args.variant, max_residual=worst)
     elif args.what == "sop-equiv":
-        from .finitekernel import skew_kernel_tilde, skew_kernel_via_sop, skew_op_system
+        from .finitekernel import route_gap, skew_op_system
 
-        params = EnsembleParams(N=args.N, n=float(args.n), L=float(args.L))
-        system = skew_op_system(params)
+        system = skew_op_system(EnsembleParams(N=args.N, n=float(args.n), L=float(args.L)))
         rng = npr.default_rng(1)
         worst = 0.0
         for _ in range(20):
             z = rng.normal(scale=0.5) + 1j * rng.normal(scale=0.5)
             e = rng.normal(scale=0.5) + 1j * rng.normal(scale=0.5)
-            a = skew_kernel_tilde(params, z, e)
-            b = skew_kernel_via_sop(system, z, e)
-            denom = max(abs(a), abs(b), 1e-300)
-            worst = max(worst, abs(a - b) / denom)
-        tol_used = args.tol if args.tol is not None else 1e-10
-        report.update(max_relative_error=worst, tolerance=tol_used)
-        report["passed"] = worst <= tol_used
+            worst = max(worst, route_gap(system, z, e))
+        report.update(max_relative_error=worst)
     elif args.what == "beta":
         from .cdi import cdi_rhs, cdi_rhs_beta_form
 
@@ -305,11 +298,9 @@ def cmd_check(args) -> int:
                 denom = max(abs(a), abs(b))
                 if denom > 0:
                     worst = max(worst, abs(a - b) / denom)
-        tol_used = args.tol if args.tol is not None else 1e-9
-        report.update(max_relative_error=worst, tolerance=tol_used)
-        report["passed"] = worst <= tol_used
-    else:
-        raise SystemExit2(f"unknown check {args.what!r}")
+        report.update(max_relative_error=worst)
+    report["tolerance"] = args.tol if args.tol is not None else _CHECK_TOL[args.what]
+    report["passed"] = worst <= report["tolerance"]
 
     text = json.dumps(report, indent=2)
     if args.out:
@@ -417,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk.set_defaults(func=cmd_kernel)
 
     pc = sub.add_parser("check", help="run identity/residual self-checks")
-    pc.add_argument("what", choices=["cdi", "ode", "sop-equiv", "beta"])
+    pc.add_argument("what", choices=list(_CHECK_TOL))
     pc.add_argument("--N", type=int, default=3)
     pc.add_argument("--n", type=float, default=6.0)
     pc.add_argument("--L", type=float, default=1.0)

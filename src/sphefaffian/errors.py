@@ -29,6 +29,10 @@ class NumericalError(SphefaffianError, RuntimeError):
     """A computed quantity violated a numerical sanity bound."""
 
 
+class DoubleRangeError(NumericalError, OverflowError):
+    """A value exceeds double range; its log-scaled form does not."""
+
+
 class SingularError(SphefaffianError, RuntimeError):
     """Matrix too close to singular for a stable inverse square root."""
 

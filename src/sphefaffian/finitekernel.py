@@ -3,14 +3,16 @@ kernel, the skew-kernels, k-point correlations and the microscopic rescaling.
 
 Two independent routes to the same skew-kernel are kept side by side:
 
-* ``skew_kernel_tilde`` -- the double gamma-sum form, assembled in the log
-  domain so n+L of a few hundred stays finite,
-* ``skew_kernel_via_sop`` -- the skew-orthogonal polynomial sum (monic
-  odd/even polynomials with gamma-ratio norms), an entire-function route
-  that pins down all branch conventions.
+* ``skew_kernel_tilde`` -- the double gamma-sum form,
+* ``skew_kernel_via_sop`` -- the skew-orthogonal polynomial sum, with
+  coefficients from cumulative moment ratios and the (zeta*eta)^{2L}
+  branch convention applied to the entire polynomial kernel.
 
-Their agreement to ~1e-12 relative is the structural self-check of the
-whole finite-N layer.
+Both are the N(N+1)/2 terms sum_k A_k x^k sum_{l<=k} B_l y^l, each with its
+own coefficients, and both go through one O(N) prefix sum (``_power_sum``)
+carried in (scale, mantissa) form, value = exp(scale) * mantissa, so n+L
+of several thousand stays finite.  Their agreement to ~1e-12 relative is
+the structural self-check of the whole finite-N layer.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError, NumericalError, PoleError
+from .errors import DomainError, DoubleRangeError, NumericalError, PoleError
 from .params import (
     EnsembleParams,
     RegimeSpec,
@@ -34,7 +36,6 @@ from .pfaffian import pfaffian_intensity
 
 __all__ = [
     "SkewOPSystem",
-    "KernelPoint",
     "moments_h",
     "log_moments_h",
     "skew_op_system",
@@ -42,22 +43,44 @@ __all__ = [
     "skew_kernel_tilde",
     "skew_kernel_tilde_dzeta",
     "skew_kernel_via_sop",
+    "route_gap",
     "correlation_rk",
     "rescaled_kernel",
     "rescaled_r1",
 ]
 
-_LOG_PI = math.log(math.pi)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def log_moments_h(params: EnsembleParams, k: float) -> float:
-    """log h_k with h_k = Gamma(k+2L+1) Gamma(2n-k+1) / Gamma(2n+2L+2)."""
+def _stirling_rest(x):
+    """lgamma(x) - ((x-1/2) log x - x + log(2 pi)/2): its asymptotic series
+    from x = 20, directly below."""
+    big = x >= 20.0
+    xs = np.where(big, x, 20.0)
+    r = (1.0 / xs) ** 2
+    series = (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / xs
+    xd = np.where(big, 1.0, x)
+    return np.where(big, series, gammaln(xd) - (xd - 0.5) * np.log(xd) + xd - _HALF_LOG_2PI)
+
+
+def _lbeta(a, b):
+    """log B(a, b) for a, b > 0 to a few ulps of the result, where the sum of
+    three gammaln loses digits to cancellation (1e-11 absolute at a+b ~ 1e4)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    s, lo, hi = a + b, np.minimum(a, b), np.maximum(a, b)
+    return ((lo - 0.5) * np.log(lo / s) + (hi - 0.5) * np.log1p(-lo / s) - 0.5 * np.log(s)
+            + _HALF_LOG_2PI + _stirling_rest(a) + _stirling_rest(b) - _stirling_rest(s))
+
+
+def log_moments_h(params: EnsembleParams, k):
+    """log h_k, h_k = Gamma(k+2L+1) Gamma(2n-k+1) / Gamma(2n+2L+2) = B(k+2L+1, 2n-k+1),
+    elementwise for an array k."""
     n, L = params.n, params.L
-    if k + 2 * L + 1 <= 0 or 2 * n - k + 1 <= 0:
+    if np.any(k + 2 * L + 1 <= 0) or np.any(2 * n - k + 1 <= 0):
         raise DomainError(
             f"moment h_k undefined (non-integrable) for k={k} with n={n}, L={L}"
         )
-    return float(gammaln(k + 2 * L + 1) + gammaln(2 * n - k + 1) - gammaln(2 * n + 2 * L + 2))
+    return _lbeta(k + 2 * L + 1, 2 * n - k + 1)
 
 
 def moments_h(params: EnsembleParams, k: float) -> float:
@@ -67,88 +90,95 @@ def moments_h(params: EnsembleParams, k: float) -> float:
 
 @dataclass(frozen=True)
 class SkewOPSystem:
-    """Skew-orthogonal polynomial data for a parameter triple.
+    """Skew-orthogonal polynomial data for a parameter triple, in logs.
 
-    q_odd are the monomials zeta^{2k+1}; q_even[k] holds the coefficients
-    of zeta^{0}, zeta^{2}, ..., zeta^{2k} of q_{2k}.  norms[k] is the
-    skew-norm r_k = 2 h_{2k+1}.
+    q_{2k+1} is the monomial zeta^{2k+1} and
+    q_{2k} = sum_{l<=k} exp(log_c[k] - log_c[l]) zeta^{2l}; log_norms[k] is
+    log r_k of the skew-norm r_k = 2 h_{2k+1}.
     """
 
     params: EnsembleParams
-    q_even: tuple  # tuple of float tuples
-    norms: tuple  # r_k, k = 0..N-1
+    log_c: np.ndarray  # C_k = sum_{i<k} log(h_{2i+2}/h_{2i+1}), k = 0..N-1
+    log_norms: np.ndarray  # log r_k, k = 0..N-1
 
-    def q_even_at(self, k: int, zeta: complex) -> complex:
-        z2 = zeta * zeta
-        acc = 0.0 + 0.0j
-        for c in reversed(self.q_even[k]):
-            acc = acc * z2 + c
-        return acc
-
-    def q_odd_at(self, k: int, zeta: complex) -> complex:
-        return zeta ** (2 * k + 1)
-
-
-@dataclass(frozen=True)
-class KernelPoint:
-    """A skew-kernel evaluation with its provenance."""
-
-    zeta: complex
-    eta: complex
-    value: complex
-    route: str  # 'double_sum' | 'sop_sum'
-
-    @classmethod
-    def evaluate(cls, params: EnsembleParams, zeta: complex, eta: complex,
-                 route: str = "double_sum") -> "KernelPoint":
-        if route == "double_sum":
-            value = skew_kernel_tilde(params, zeta, eta)
-        elif route == "sop_sum":
-            value = skew_kernel_via_sop(skew_op_system(params), zeta, eta)
-        else:
-            raise DomainError(f"unknown kernel route {route!r}")
-        return cls(zeta=complex(zeta), eta=complex(eta), value=value, route=route)
+    @property
+    def norms(self) -> np.ndarray:
+        """r_k for display; it underflows to 0 at large n+L, the kernel reads log_norms."""
+        return np.exp(self.log_norms)
 
 
 def skew_op_system(params: EnsembleParams) -> SkewOPSystem:
     """Construct the N skew-orthogonal polynomial pairs for the ensemble.
 
-    Even coefficients come from the cumulative products of moment ratios
-    h_{m+1}/h_m = (m+2L+1)/(2n-m), which avoids Gamma at negative
-    arguments entirely.
+    Even coefficients come from the cumulative sums of log moment ratios
+    h_{m+1}/h_m = (m+2L+1)/(2n-m) over odd m, which avoids Gamma at
+    negative arguments entirely.
     """
     N, n, L = params.N, params.n, params.L
-    q_even = []
-    for k in range(N):
-        coef = [0.0] * (k + 1)
-        coef[k] = 1.0
-        for low in range(k - 1, -1, -1):
-            # prod_{j=0}^{k-low-1} h_{2low+2j+2}/h_{2low+2j+1}
-            m = 2 * low + 1
-            ratio = 1.0
-            for j in range(k - low):
-                mm = m + 2 * j
-                ratio *= (mm + 2 * L + 1) / (2 * n - mm)
-            coef[low] = ratio
-        q_even.append(tuple(coef))
-    norms = tuple(2.0 * math.exp(log_moments_h(params, 2 * k + 1)) for k in range(N))
-    return SkewOPSystem(params=params, q_even=tuple(q_even), norms=norms)
+    m = 2.0 * np.arange(N - 1) + 1
+    log_c = np.concatenate(([0.0], np.cumsum(np.log((m + 2 * L + 1) / (2 * n - m)))))
+    log_norms = math.log(2.0) + log_moments_h(params, 2.0 * np.arange(N) + 1)
+    return SkewOPSystem(params=params, log_c=log_c, log_norms=log_norms)
 
 
 @lru_cache(maxsize=64)
 def _log_coeff_arrays(N: int, n: float, L: float):
-    """k- and l-indexed log coefficients of the double sum, plus log prefactor."""
+    """k- and l-indexed log coefficients of the double sum, plus log prefactor:
+    pi Gamma(2n+2L+2) / (2^{2n+2L+1} Gamma(k+L+3/2) Gamma(n-k) Gamma(n-l+1/2)
+    Gamma(l+L+1)) = B(1/2, n+L+1) / (B(k+L+3/2, n-k) B(l+L+1, n-l+1/2))."""
     ks = np.arange(N, dtype=float)
-    la = -gammaln(ks + L + 1.5) - gammaln(n - ks)
-    lb = -gammaln(n - ks + 0.5) - gammaln(ks + L + 1.0)
-    lpref = _LOG_PI + gammaln(2 * n + 2 * L + 2) - (2 * L + 2 * n + 1) * math.log(2.0)
-    return la, lb, lpref
+    la = -_lbeta(ks + L + 1.5, n - ks)
+    lb = -_lbeta(ks + L + 1.0, n - ks + 0.5)
+    return la, lb, float(_lbeta(0.5, n + L + 1))
 
 
-def _scaled_sum(t, fac=1.0):
-    """(m, s) with sum(exp(t) * fac) = exp(m) * s, shifted by the largest Re t."""
+_RESCALE = 300.0  # a prefix sum re-shifts where its running max grows by this much
+
+
+def _log(z: complex):
+    """Principal log z, or None at z = 0: the argument form _power_sum reads."""
+    return cmath.log(z) if z != 0 else None
+
+
+def _log_power_terms(c, e, lx):
+    """c_k + e_k log x; at x = 0 (lx None) only the x^0 terms survive."""
+    if lx is None:
+        return np.where(e == 0, c, -np.inf) + 0j
+    return c + e * lx
+
+
+def _power_sum(a, e, lx, b=None, f=None, ly=None):
+    """sum_k exp(a_k) x^{e_k} sum_{l<=k} exp(b_l) y^{f_l} as (scale, mantissa),
+    with lx, ly from _log; without b it is the plain sum_k exp(a_k) x^{e_k}.
+
+    The inner sum is a prefix sum, run in chunks that share one shift, the
+    running max of Re log-term at the chunk's end; a chunk ends where that
+    max has grown by _RESCALE, so an early prefix far below the largest
+    inner term keeps its digits instead of flushing to zero.  A term of
+    coefficient exp(-inf) = 0 is allowed.
+    """
+    t = _log_power_terms(a, e, lx)
+    mant = np.ones(t.shape) if b is None else np.zeros(t.shape, dtype=complex)
+    if b is not None:
+        v = _log_power_terms(b, f, ly)
+        top = np.maximum.accumulate(v.real)
+        carry, at = 0.0, -np.inf  # the prefix so far is exp(at) * carry
+        start = 0
+        while start < v.size:
+            end = int(np.searchsorted(top, top[start] + _RESCALE, side="right"))
+            shift = top[end - 1]
+            if shift > -np.inf:  # else every inner term so far vanishes
+                chunk = carry * math.exp(at - shift) + np.cumsum(np.exp(v[start:end] - shift))
+                mant[start:end] = chunk
+                t[start:end] += shift
+                carry, at = chunk[-1], shift
+            start = end
+    keep = (mant != 0) & (t.real > -np.inf)
+    if not keep.any():
+        return 0.0, 0.0 + 0.0j
+    t, mant = t[keep], mant[keep]
     m = float(np.max(t.real))
-    return m, complex(np.sum(np.exp(t - m) * fac))
+    return m, complex(np.sum(np.exp(t - m) * mant))
 
 
 def _common_scale(pieces):
@@ -165,88 +195,57 @@ def _g_hat_scaled(params: EnsembleParams, zeta: complex, eta: complex,
                   d_dzeta: bool = False, d_deta: bool = False):
     """Scaled double sum: returns (M, S) with G_hat = exp(M) * S.
 
-    With d_dzeta/d_deta the term-by-term derivative in the first/second
-    argument is returned instead (same scaling convention).  Terms carry
-    zeta^{2k+2L+1} eta^{2l+2L}; vanishing arguments kill every term whose
-    exponent stays positive, which the branches below enumerate.
+    G_hat = sum_{l<=k<N} exp(lpref + la_k + lb_l) zeta^{2k+2L+1} eta^{2l+2L};
+    with d_dzeta/d_deta the term-by-term derivative in the first/second
+    argument is returned instead (same scaling convention).
     """
-    N, n, L = params.N, params.n, params.L
-    zeta = complex(zeta)
-    eta = complex(eta)
-    la, lb, lpref = _log_coeff_arrays(N, n, L)
-    ks = np.arange(N, dtype=float)
-
-    if zeta == 0:
-        # zeta exponents 2k+2L+1 >= 1: value vanishes; the derivative
-        # survives only through the k=0 term when its exponent is exactly 1.
-        if not d_dzeta or L != 0:
-            return 0.0, 0.0 + 0.0j
-        # only (k,l) = (0,0) survives with d/dzeta zeta^1 = 1 and eta^0 = 1
-        return float(lpref + la[0] + lb[0]), 1.0 + 0.0j
-
-    if eta == 0:
-        # eta exponents 2l+2L: value needs 2L = 0 at l = 0,
-        # derivative needs 2L = 1 at l = 0; otherwise everything vanishes.
-        keep_value = (not d_deta) and L == 0
-        keep_deriv = d_deta and 2 * L == 1
-        if not (keep_value or keep_deriv):
-            return 0.0, 0.0 + 0.0j
-        lz = cmath.log(zeta)
-        t = lpref + la + lb[0] + (2 * ks + 2 * L + 1) * lz
-        fac = (2 * ks + 2 * L + 1) / zeta if d_dzeta else 1.0
-        return _scaled_sum(t, fac)
-
-    lz = cmath.log(zeta)
-    le = cmath.log(eta)
-    K, Lo = np.meshgrid(ks, ks, indexing="ij")
-    mask = Lo <= K
-    T = lpref + la[:, None] + lb[None, :] + (2 * K + 2 * L + 1) * lz + (2 * Lo + 2 * L) * le
-    tm = T[mask]
+    la, lb, lpref = _log_coeff_arrays(params.N, params.n, params.L)
+    e = 2.0 * np.arange(params.N) + 2 * params.L + 1
+    a, f = lpref + la, e - 1
     if d_dzeta:
-        fac = ((2 * K + 2 * L + 1)[mask]) / zeta
-    elif d_deta:
-        fac = ((2 * Lo + 2 * L)[mask]) / eta
-    else:
-        fac = 1.0
-    return _scaled_sum(tm, fac)
+        a, e = a + np.log(e), e - 1
+    if d_deta:
+        with np.errstate(divide="ignore"):  # eta^0 at L = 0 differentiates to 0
+            lb, f = lb + np.log(f), f - 1
+    return _power_sum(a, e, _log(complex(zeta)), lb, f, _log(complex(eta)))
 
 
 def g_hat(params: EnsembleParams, zeta: complex, eta: complex) -> complex:
     """The double-sum building block of the skew-kernel.
 
-    Raises OverflowError when the value exceeds double range; callers at
-    large n+L should use the rescaled kernel, which folds the weight in
-    before exponentiating.
+    Raises DoubleRangeError (an OverflowError) when the value exceeds double
+    range; callers at large n+L should use the rescaled kernel, which folds
+    the weight in before exponentiating.
     """
-    if not params.n > params.N:
-        raise DomainError("g_hat requires n > N")
     m, s = _g_hat_scaled(params, zeta, eta)
     if s == 0:
         return 0.0 + 0.0j
     total = m + math.log(abs(s))
     if total > 700.0:
-        raise OverflowError(
+        raise DoubleRangeError(
             f"g_hat magnitude exp({total:.1f}) exceeds double range; "
             "use rescaled_kernel for large n+L"
         )
     return cmath.exp(m) * s
 
 
-def _kernel_scaled(params: EnsembleParams, zeta: complex, eta: complex):
-    """(M, v) with skew_kernel_tilde = exp(M) * v."""
-    zeta = complex(zeta)
-    eta = complex(eta)
-    oz = 1.0 + zeta * zeta
-    oe = 1.0 + eta * eta
+def _log_weight(params: EnsembleParams, zeta: complex, eta: complex) -> complex:
+    """log of the kernel weight ((1+zeta^2)(1+eta^2))^{-(n+L-1/2)}, per-factor
+    principal logs; its poles at zeta or eta = +-i raise PoleError."""
+    oz, oe = 1.0 + zeta * zeta, 1.0 + eta * eta
     if oz == 0 or oe == 0:
         raise PoleError(f"skew kernel has a pole at zeta or eta = +-i (got {zeta}, {eta})")
+    return -(params.nl - 0.5) * (cmath.log(oz) + cmath.log(oe))
+
+
+def _kernel_scaled(params: EnsembleParams, zeta: complex, eta: complex):
+    """(M, v) with skew_kernel_tilde = exp(M) * v; M is complex."""
+    zeta, eta = complex(zeta), complex(eta)
+    lw = _log_weight(params, zeta, eta)
     m, (g1, g2) = _common_scale(
         [_g_hat_scaled(params, zeta, eta), _g_hat_scaled(params, eta, zeta)]
     )
-    diff = g1 - g2
-    lw = -(params.nl - 0.5) * (cmath.log(oz) + cmath.log(oe))
-    scale = m + lw.real
-    return scale, diff * cmath.exp(1j * lw.imag)
+    return m + lw, g1 - g2
 
 
 def skew_kernel_tilde(params: EnsembleParams, zeta: complex, eta: complex) -> complex:
@@ -257,12 +256,8 @@ def skew_kernel_tilde(params: EnsembleParams, zeta: complex, eta: complex) -> co
 
 def _kernel_dzeta_scaled(params: EnsembleParams, zeta: complex, eta: complex):
     """(M, v) with skew_kernel_tilde_dzeta = exp(M) * v; M is complex."""
-    zeta = complex(zeta)
-    eta = complex(eta)
-    oz = 1.0 + zeta * zeta
-    oe = 1.0 + eta * eta
-    if oz == 0 or oe == 0:
-        raise PoleError("derivative requested at a kernel pole")
+    zeta, eta = complex(zeta), complex(eta)
+    lw = _log_weight(params, zeta, eta)
     m, (g1, g2, d1, d2) = _common_scale([
         _g_hat_scaled(params, zeta, eta),
         _g_hat_scaled(params, eta, zeta),
@@ -270,9 +265,8 @@ def _kernel_dzeta_scaled(params: EnsembleParams, zeta: complex, eta: complex):
         _g_hat_scaled(params, eta, zeta, d_deta=True),
     ])
     khat, dkhat = g1 - g2, d1 - d2
-    lw = -(params.nl - 0.5) * (cmath.log(oz) + cmath.log(oe))
     # d/dz [e^{lw} khat] = e^{lw} (dkhat - (n+L-1/2) * 2 zeta/(1+zeta^2) khat)
-    inner = dkhat - (params.nl - 0.5) * 2.0 * zeta / oz * khat
+    inner = dkhat - (params.nl - 0.5) * 2.0 * zeta / (1.0 + zeta * zeta) * khat
     return m + lw, inner
 
 
@@ -286,33 +280,49 @@ def skew_kernel_tilde_dzeta(params: EnsembleParams, zeta: complex, eta: complex)
     return cmath.exp(m) * v
 
 
+def _sop_scaled(system: SkewOPSystem, zeta: complex, eta: complex):
+    """(M, v) with skew_kernel_via_sop = exp(M) * v; M is complex."""
+    params = system.params
+    zeta, eta = complex(zeta), complex(eta)
+    lw = _log_weight(params, zeta, eta)
+    if params.L != 0 and (zeta == 0 or eta == 0):
+        return 0.0, 0.0 + 0.0j
+    lz, le = _log(zeta), _log(eta)
+    a = system.log_c - system.log_norms
+    odd = 2.0 * np.arange(params.N) + 1
+    m, (p1, p2) = _common_scale([
+        _power_sum(a, odd, lz, -system.log_c, odd - 1, le),
+        _power_sum(a, odd, le, -system.log_c, odd - 1, lz),
+    ])
+    if params.L != 0:
+        lw += 2.0 * params.L * (lz + le)
+    return m + lw, p1 - p2
+
+
 def skew_kernel_via_sop(system: SkewOPSystem, zeta: complex, eta: complex) -> complex:
     """Skew-kernel assembled from the skew-orthogonal polynomial sum.
 
-    The canonical polynomial kernel is multiplied by (zeta*eta)^{2L}
-    (principal branches) and the same (1+zeta^2)(1+eta^2) power as the
-    double-sum route, so the two routes target the identical function.
+    sum_k (q_{2k+1}(zeta) q_{2k}(eta) - q_{2k}(zeta) q_{2k+1}(eta)) / r_k is
+    multiplied by (zeta*eta)^{2L} (principal branches) and the same
+    (1+zeta^2)(1+eta^2) power as the double-sum route, so the two routes
+    target the identical function.
     """
-    params = system.params
-    zeta = complex(zeta)
-    eta = complex(eta)
-    oz = 1.0 + zeta * zeta
-    oe = 1.0 + eta * eta
-    if oz == 0 or oe == 0:
-        raise PoleError("skew kernel has a pole at zeta or eta = +-i")
-    total = 0.0 + 0.0j
-    for k in range(params.N):
-        qoz = system.q_odd_at(k, zeta)
-        qoe = system.q_odd_at(k, eta)
-        qez = system.q_even_at(k, zeta)
-        qee = system.q_even_at(k, eta)
-        total += (qoz * qee - qez * qoe) / system.norms[k]
-    if params.L != 0:
-        if zeta == 0 or eta == 0:
-            return 0.0 + 0.0j
-        total *= cmath.exp(2.0 * params.L * (cmath.log(zeta) + cmath.log(eta)))
-    lw = -(params.nl - 0.5) * (cmath.log(oz) + cmath.log(oe))
-    return cmath.exp(lw) * total
+    m, v = _sop_scaled(system, zeta, eta)
+    return cmath.exp(m) * v if v != 0 else 0.0 + 0.0j
+
+
+def _relative_gap(p, q) -> float:
+    """|x - y| / max(|x|, |y|) of two (scale, mantissa) values, at their common scale."""
+    _, (x, y) = _common_scale([p, q])
+    denom = max(abs(x), abs(y))
+    return abs(x - y) / denom if denom else 0.0
+
+
+def route_gap(system: SkewOPSystem, zeta: complex, eta: complex) -> float:
+    """Relative difference of the double-sum and the polynomial route, finite
+    even where the kernel itself exceeds double range."""
+    return _relative_gap(_kernel_scaled(system.params, zeta, eta),
+                         _sop_scaled(system, zeta, eta))
 
 
 def correlation_rk(params: EnsembleParams, points) -> float:
@@ -334,16 +344,18 @@ def correlation_rk(params: EnsembleParams, points) -> float:
     return pfaffian_intensity(points, entry, tol=1e-9)
 
 
-def _check_regime(params: EnsembleParams, regime: RegimeSpec) -> None:
+def _zoom(params: EnsembleParams, regime: RegimeSpec, *points):
+    """N delta and the points p + z / sqrt(N delta) around the regime's zoom
+    point p; params must be the regime's own at N."""
     ref = regime.params_at(params.N)
-    ok = math.isclose(ref.n, params.n, rel_tol=1e-9, abs_tol=1e-9) and math.isclose(
-        ref.L, params.L, rel_tol=1e-9, abs_tol=1e-9
-    )
-    if not ok:
+    if not (math.isclose(ref.n, params.n, rel_tol=1e-9, abs_tol=1e-9)
+            and math.isclose(ref.L, params.L, rel_tol=1e-9, abs_tol=1e-9)):
         raise DomainError(
             f"params {params} inconsistent with regime {regime} at N={params.N} "
             f"(expected n={ref.n}, L={ref.L})"
         )
+    nd = params.N * local_scale_delta(params, regime.p)
+    return nd, [regime.p + complex(z) / math.sqrt(nd) for z in points]
 
 
 def rescaled_kernel(
@@ -354,16 +366,11 @@ def rescaled_kernel(
     kappa_tilde_N(z, w) = (1+p^2)^{-3} (N delta)^{-3/2}
                           ktilde_N(p + z/sqrt(N delta), p + w/sqrt(N delta)).
     """
-    _check_regime(params, regime)
-    p = regime.p
-    d = local_scale_delta(params, p)
-    s = math.sqrt(params.N * d)
-    zeta = p + complex(z) / s
-    eta = p + complex(w) / s
+    nd, (zeta, eta) = _zoom(params, regime, z, w)
     m, v = _kernel_scaled(params, zeta, eta)
     if v == 0:
         return 0.0 + 0.0j
-    lpref = -3.0 * math.log1p(p * p) - 1.5 * math.log(params.N * d)
+    lpref = -3.0 * math.log1p(regime.p * regime.p) - 1.5 * math.log(nd)
     return cmath.exp(m + lpref) * v
 
 
@@ -374,16 +381,12 @@ def rescaled_r1(params: EnsembleParams, regime: RegimeSpec, z: complex) -> float
     variables, so the value tends to the limiting Pfaffian one-point
     function (-> 1 deep in the strong bulk).
     """
-    _check_regime(params, regime)
-    p = regime.p
-    d = local_scale_delta(params, p)
-    s = math.sqrt(params.N * d)
-    zeta = p + complex(z) / s
+    nd, (zeta,) = _zoom(params, regime, z)
     m, v = _kernel_scaled(params, zeta, zeta.conjugate())
     if v == 0:
         return 0.0
     lw = 2.0 * log_weight_omega(params, zeta)
-    val = cmath.exp(m + lw - math.log(params.N * d)) * v * (zeta.conjugate() - zeta)
+    val = cmath.exp(m + lw - math.log(nd)) * v * (zeta.conjugate() - zeta)
     if abs(val) > 0 and abs(val.imag) > 1e-9 * abs(val):
         raise NumericalError(f"rescaled R1 has imaginary residue {val.imag:.3e}")
     return val.real

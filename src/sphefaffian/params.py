@@ -49,13 +49,13 @@ class EnsembleParams:
     def __post_init__(self):
         if not isinstance(self.N, (int,)) or self.N < 1:
             raise DomainError(f"N must be a positive integer, got {self.N!r}")
-        if not self.n > self.N:
+        if not (self.n > self.N and math.isfinite(self.n)):
             raise DomainError(
-                f"n must exceed N (outer radius r2 and Gamma(n-N) require n > N), "
-                f"got n={self.n}, N={self.N}"
+                f"n must be finite and exceed N (outer radius r2 and Gamma(n-N) "
+                f"require n > N), got n={self.n}, N={self.N}"
             )
-        if self.L < 0:
-            raise DomainError(f"L must be nonnegative, got {self.L}")
+        if not (self.L >= 0 and math.isfinite(self.L)):
+            raise DomainError(f"L must be finite and nonnegative, got {self.L}")
 
     @property
     def nl(self) -> float:

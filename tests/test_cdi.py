@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from sphefaffian.errors import DomainError, NumericalError
-from sphefaffian.params import EnsembleParams, Origin, Strong, Weak
+from sphefaffian.errors import DomainError, NumericalError, PoleError
+from sphefaffian.params import EnsembleParams, Origin, Strong, Weak, local_scale_delta
 from sphefaffian.cdi import (
     cdi_derivative,
     cdi_fractions,
@@ -129,6 +129,15 @@ class TestRescaledIdentity:
         d2 = (rescaled_kernel(pa, regime, z + 2 * h, w) - rescaled_kernel(pa, regime, z - 2 * h, w)) / (4 * h)
         richardson = (4.0 * d1 - d2) / 3.0
         assert abs(terms.combined - richardson) <= 1e-6 * max(1.0, abs(richardson))
+
+    def test_zoomed_pole_is_a_pole_error(self):
+        # z = (i - 1) sqrt(N delta) puts the zoomed zeta = p + z / sqrt(N delta) at i
+        regime = Strong(a=1.0, b=1.0, p=1.0)
+        pa = regime.params_at(20)
+        z = (1j - 1.0) * math.sqrt(20 * local_scale_delta(pa, 1.0))
+        for fn in (rescaled_kernel, rescaled_cdi_terms):
+            with pytest.raises(PoleError):
+                fn(pa, regime, z, 0.1j)
 
     def test_strong_bulk_first_factor_limit(self):
         # I1 -> 2 e^{-(z-w)^2} with decreasing error over an N sweep

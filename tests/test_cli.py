@@ -1,7 +1,9 @@
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from sphefaffian.cli import main
@@ -206,6 +208,27 @@ def test_malformed_values_exit_2(argv, tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_check_exit_codes_fuzz(capsys):
+    # seeded draws of `check sop-equiv` and `check cdi` up to N = 400 with valid
+    # and invalid n, L: every run ends in a documented exit code, never a traceback
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        what = str(rng.choice(["sop-equiv", "cdi"]))
+        N = int(rng.integers(1, 401))
+        n, L = N + rng.uniform(0.01, 3 * N), rng.uniform(0, 2 * N)
+        if rng.random() < 0.3:
+            n = float(rng.choice([N - rng.uniform(0, N), math.nan, math.inf]))
+        if rng.random() < 0.3:
+            L = float(rng.choice([-rng.uniform(0.01, 5), math.nan, math.inf]))
+        argv = ["check", what, "--N", str(N), f"--n={n!r}", f"--L={L!r}"]
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        capsys.readouterr()
+        assert rc in (0, 2, 3, 4), argv
 
 
 class TestEntryPoint:

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -6,10 +7,20 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
-from sphefaffian.errors import DomainError, PoleError
-from sphefaffian.params import EnsembleParams, Origin, Strong, droplet, weight_omega
+from sphefaffian.cli import main
+from sphefaffian.errors import DomainError, PoleError, SphefaffianError
+from sphefaffian.params import (
+    EnsembleParams,
+    Origin,
+    Strong,
+    droplet,
+    local_scale_delta,
+    weight_omega,
+)
 from sphefaffian.finitekernel import (
-    KernelPoint,
+    _g_hat_scaled,
+    _log_coeff_arrays,
+    _power_sum,
     correlation_rk,
     g_hat,
     moments_h,
@@ -55,17 +66,26 @@ class TestMoments:
             moments_h(pa, 2 * pa.n + 2)
 
 
+def q_even(system, k):
+    """Coefficients of zeta^0, zeta^2, ..., zeta^{2k} of q_{2k}."""
+    return np.exp(system.log_c[k] - system.log_c[: k + 1])
+
+
+def q_even_at(system, k, zeta):
+    return sum(c * zeta ** (2 * l) for l, c in enumerate(q_even(system, k)))
+
+
 class TestSkewOPSystem:
     def test_q0_is_one(self):
         for pa in (EnsembleParams(2, 4.0, 0.0), EnsembleParams(3, 7.0, 2.5)):
             system = skew_op_system(pa)
-            assert system.q_even[0] == (1.0,)
+            assert tuple(q_even(system, 0)) == (1.0,)
 
     def test_q2_constant_coefficient(self):
         # q_2 = z^2 + h_2/h_1 with h_2/h_1 = 2/5 at (n=3, L=0)
         pa = EnsembleParams(N=2, n=3.0, L=0.0)
         system = skew_op_system(pa)
-        assert system.q_even[1] == pytest.approx((0.4, 1.0), rel=1e-14)
+        assert tuple(q_even(system, 1)) == pytest.approx((0.4, 1.0), rel=1e-14)
 
     def test_norms_are_2_h_odd(self):
         pa = EnsembleParams(N=3, n=6.0, L=1.0)
@@ -99,7 +119,7 @@ class TestSkewOPSystem:
         # <q_0, q_3>_s = 0 at (N=2, n=4, L=1)
         pa = EnsembleParams(N=2, n=4.0, L=1.0)
         system = skew_op_system(pa)
-        val = self._skew_form(pa, lambda z: system.q_even_at(0, z), lambda z: z ** 3)
+        val = self._skew_form(pa, lambda z: q_even_at(system, 0, z), lambda z: z ** 3)
         assert abs(val) < 1e-10
 
     def test_skew_orthogonality_table(self):
@@ -110,13 +130,13 @@ class TestSkewOPSystem:
             for l in range(3):
                 ee = self._skew_form(
                     pa,
-                    lambda z, k=k: system.q_even_at(k, z),
-                    lambda z, l=l: system.q_even_at(l, z),
+                    lambda z, k=k: q_even_at(system, k, z),
+                    lambda z, l=l: q_even_at(system, l, z),
                 )
                 assert abs(ee) < 1e-8
                 eo = self._skew_form(
                     pa,
-                    lambda z, k=k: system.q_even_at(k, z),
+                    lambda z, k=k: q_even_at(system, k, z),
                     lambda z, l=l: z ** (2 * l + 1),
                 )
                 want = system.norms[k] if k == l else 0.0
@@ -136,8 +156,9 @@ class TestGHat:
 
     def test_overflow_guard(self):
         pa = EnsembleParams(N=50, n=400.0, L=300.0)
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError) as exc:
             g_hat(pa, 2.0, 1.5)
+        assert isinstance(exc.value, SphefaffianError)
 
 
 class TestSkewKernel:
@@ -167,17 +188,6 @@ class TestSkewKernel:
         b = skew_kernel_via_sop(system, z, e)
         assert abs(a - b) <= 1e-10 * abs(a)
 
-    def test_kernel_point_routes_and_antisymmetry(self):
-        pa = EnsembleParams(N=4, n=8.0, L=1.0)
-        z, e = 0.3 - 0.2j, 0.1 + 0.4j
-        a = KernelPoint.evaluate(pa, z, e, route="double_sum")
-        b = KernelPoint.evaluate(pa, z, e, route="sop_sum")
-        assert abs(a.value - b.value) <= 1e-11 * abs(a.value)
-        rev = KernelPoint.evaluate(pa, e, z)
-        assert abs(a.value + rev.value) <= 1e-12 * abs(a.value)
-        with pytest.raises(DomainError):
-            KernelPoint.evaluate(pa, z, e, route="magic")
-
     @pytest.mark.parametrize("N,n,L", [(1, 2, 0.0), (4, 8, 1.0), (6, 9, 2.5)])
     def test_route_equivalence_random(self, N, n, L):
         pa = EnsembleParams(N=N, n=float(n), L=L)
@@ -189,6 +199,98 @@ class TestSkewKernel:
             a = skew_kernel_tilde(pa, z, e)
             b = skew_kernel_via_sop(system, z, e)
             assert abs(a - b) <= 1e-10 * max(abs(a), abs(b))
+
+
+def mesh_g_hat(params, zeta, eta, d_dzeta=False, d_deta=False):
+    """G_hat (or its term-by-term derivative) over the full N x N mesh, l <= k,
+    in linear space: the small-N oracle for the prefix sum."""
+    la, lb, lpref = _log_coeff_arrays(params.N, params.n, params.L)
+    K, Lo = np.meshgrid(np.arange(params.N), np.arange(params.N), indexing="ij")
+
+    def power(x, p, derivative):  # x^p or d/dx x^p on the principal branch, 0^0 = 1
+        if derivative:
+            return p * power(x, p - 1, False)
+        return np.where(p == 0, 1.0, 0.0) if x == 0 else np.exp(p * cmath.log(x))
+
+    terms = (np.exp(lpref + la[:, None] + lb[None, :])
+             * power(zeta, 2 * K + 2 * params.L + 1, d_dzeta)
+             * power(eta, 2 * Lo + 2 * params.L, d_deta))
+    return complex(np.sum(terms[Lo <= K]))
+
+
+class TestPowerSum:
+    @pytest.mark.parametrize("N", [1, 2, 7, 30])
+    @pytest.mark.parametrize("L", [0.0, 0.5, 1.0, 2.5])
+    def test_prefix_sum_matches_mesh(self, N, L):
+        pa = EnsembleParams(N=N, n=2.0 * N + 1, L=L)
+        points = [(0.4 + 0.3j, -0.5 + 0.2j), (1.3 - 0.6j, 0.2 + 0.9j),
+                  (0.0, 0.5 - 0.2j), (0.6 + 0.1j, 0.0), (0.0, 0.0)]
+        for zeta, eta in points:
+            for flags in ((False, False), (True, False), (False, True)):
+                want = mesh_g_hat(pa, zeta, eta, *flags)
+                m, s = _g_hat_scaled(pa, zeta, eta, *flags)
+                got = cmath.exp(m) * s if s != 0 else 0.0
+                assert abs(got - want) <= 1e-12 * abs(want), (zeta, eta, flags)
+
+    def test_prefix_far_below_the_inner_max_keeps_its_digits(self):
+        # exp(0) * exp(-1000) + exp(-2000) * (exp(-1000) + exp(0)): one shift by the
+        # inner max would flush exp(-1000) to zero and leave only the exp(-2000) term
+        m, s = _power_sum(np.array([0.0, -2000.0]), np.zeros(2), 0.0,
+                          np.array([-1000.0, 0.0]), np.zeros(2), 0.0)
+        assert m + math.log(abs(s)) == pytest.approx(-1000.0, rel=1e-15)
+
+    def test_zero_argument_keeps_only_exponent_zero_terms(self):
+        a, e = np.log([2.0, 3.0, 5.0]), np.array([0.0, 1.0, 0.0])
+        m, s = _power_sum(a, e, None)
+        assert cmath.exp(m) * s == pytest.approx(7.0, rel=1e-15)
+        assert _power_sum(a, e + 1.0, None)[1] == 0.0
+
+
+def kernel_oracle(params, zeta, eta, dps=60):
+    """skew_kernel_tilde from its definition, in mpmath: the weight times
+    G(zeta, eta) - G(eta, zeta), each double gamma sum prefix-summed over l <= k."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        n, L = mp.mpf(params.n), mp.mpf(params.L)
+        half = mp.mpf(1) / 2
+        lpref = mp.log(mp.pi) + mp.loggamma(2 * n + 2 * L + 2) - (2 * n + 2 * L + 1) * mp.log(2)
+
+        def g(x, y):
+            lx, ly = mp.log(x), mp.log(y)
+            inner = total = 0
+            for k in range(params.N):
+                inner += mp.exp((2 * k + 2 * L) * ly - mp.loggamma(n - k + half)
+                                - mp.loggamma(k + L + 1))
+                total += inner * mp.exp(lpref + (2 * k + 2 * L + 1) * lx
+                                        - mp.loggamma(k + L + 1 + half) - mp.loggamma(n - k))
+            return total
+
+        x, y = mp.mpc(zeta), mp.mpc(eta)
+        weight = mp.exp(-(n + L - half) * (mp.log(1 + x * x) + mp.log(1 + y * y)))
+        return complex(weight * (g(x, y) - g(y, x)))
+
+
+@pytest.mark.parametrize("N", [100, 400, 1600])
+def test_both_routes_match_mpmath_at_strong_bulk_zoom(N):
+    # at N = 1600 single exponents reach ~7e3, whose rounding alone is
+    # eps * 7e3 = 1.6e-12 of the value: the double-precision floor there
+    tol = 1e-12 if N <= 400 else 5e-12
+    pa = Strong(a=1.0, b=1.0, p=1.0).params_at(N)
+    s = math.sqrt(N * local_scale_delta(pa, 1.0))
+    system = skew_op_system(pa)
+    for z, w in [(0.3 + 0.2j, -0.1 + 0.4j), (0.5j, -0.5j), (-0.8 + 0.1j, 0.4 - 0.6j)]:
+        zeta, eta = 1.0 + z / s, 1.0 + w / s
+        want = kernel_oracle(pa, zeta, eta)
+        for got in (skew_kernel_tilde(pa, zeta, eta), skew_kernel_via_sop(system, zeta, eta)):
+            assert abs(got - want) <= tol * abs(want)
+
+
+@pytest.mark.parametrize("N", [200, 400, 1000])
+def test_sop_equiv_finite_at_large_n(N, capsys):
+    rc = main(["check", "sop-equiv", "--N", str(N), "--n", str(2 * N), "--L", str(N)])
+    report = json.loads(capsys.readouterr().out)
+    assert rc in (0, 4)
+    assert math.isfinite(report["max_relative_error"])
 
 
 def r1_direct(params, z):
