@@ -38,7 +38,6 @@ from .specfun import (
     Precision,
     erf_c,
     erfc_c,
-    log_gamma,
     mittag_leffler,
     reg_inc_beta,
     reg_inc_gamma_p,
@@ -48,7 +47,6 @@ from .finitekernel import (
     SkewOPSystem,
     correlation_rk,
     g_hat,
-    moments_h,
     rescaled_kernel,
     rescaled_r1,
     skew_kernel_tilde,
@@ -96,7 +94,6 @@ from .linstat import (
     exact_variance,
     laplace_saddle,
     mc_linear_statistic,
-    ul_moments,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -34,7 +34,7 @@ class DoubleRangeError(NumericalError, OverflowError):
 
 
 class SingularError(SphefaffianError, RuntimeError):
-    """Matrix too close to singular for a stable inverse square root."""
+    """Matrix too close to singular to invert stably."""
 
 
 class PairingError(SphefaffianError, RuntimeError):

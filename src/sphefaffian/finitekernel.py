@@ -36,7 +36,6 @@ from .pfaffian import pfaffian_intensity
 
 __all__ = [
     "SkewOPSystem",
-    "moments_h",
     "log_moments_h",
     "skew_op_system",
     "g_hat",
@@ -81,11 +80,6 @@ def log_moments_h(params: EnsembleParams, k):
             f"moment h_k undefined (non-integrable) for k={k} with n={n}, L={L}"
         )
     return _lbeta(k + 2 * L + 1, 2 * n - k + 1)
-
-
-def moments_h(params: EnsembleParams, k: float) -> float:
-    """Squared orthogonal norm h_k of |zeta|^k under the ensemble weight."""
-    return math.exp(log_moments_h(params, k))
 
 
 @dataclass(frozen=True)

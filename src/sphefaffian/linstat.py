@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln
 
 from .errors import DegenerateSaddleWarning, DomainError, QuadratureError
 from .params import EnsembleParams, droplet
@@ -26,7 +25,6 @@ from .sampler import SampleBatch
 __all__ = [
     "RadialStatistic",
     "LinStatSummary",
-    "ul_moments",
     "char_function",
     "asymptotic_mean",
     "asymptotic_variance",
@@ -88,33 +86,6 @@ def _radial_average(params: EnsembleParams, l: int, func) -> complex:
     im, _ = quad(lambda t: weight(t) * func(r_of(t)).imag, 0.0, 1.0,
                  points=[t_star], epsabs=1e-14, epsrel=1e-12, limit=200)
     return complex(re, im) / den
-
-
-def _log_ul_closed(params: EnsembleParams, l: int) -> float:
-    """log u_l in closed form: u_l = Gamma(2l+2L+2) Gamma(2n-2l) / (2 Gamma(2n+2L+2))."""
-    n, L = params.n, params.L
-    return float(
-        gammaln(2 * l + 2 * L + 2) + gammaln(2 * n - 2 * l) - gammaln(2 * n + 2 * L + 2)
-    ) - math.log(2.0)
-
-
-def ul_moments(params: EnsembleParams, stat: RadialStatistic | None, k_fourier: float):
-    """Radial moments u_l and phase-weighted u_l(b) for l = 0..N-1.
-
-    u_l is the closed gamma form; u_l(b) adds e^{i k b(r)}.
-    """
-    uls = np.empty(params.N)
-    ul_bs = np.empty(params.N, dtype=complex)
-    for l in range(params.N):
-        uls[l] = math.exp(_log_ul_closed(params, l))
-        if stat is None or k_fourier == 0.0:
-            ul_bs[l] = uls[l]
-        else:
-            ratio = _radial_average(
-                params, l, lambda r: np.exp(1j * k_fourier * stat.b(r))
-            )
-            ul_bs[l] = ratio * uls[l]
-    return ul_bs, uls
 
 
 def char_function(params: EnsembleParams, stat: RadialStatistic, k_fourier: float) -> complex:

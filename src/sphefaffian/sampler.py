@@ -6,15 +6,30 @@ an n x N quaternion Ginibre, and U is Haar on the symplectic unitary
 group.  All matrices live in their 2x2-block complex representation; the
 2N eigenvalues of G close under conjugation and the N upper-half-plane
 representatives are the sample.
+
+A trial draws that spectrum in law without forming X, Y or any Hermitian
+matrix square root.  Write B = Y^dagger Y = W Lambda W^dagger with W
+symplectic unitary.  Then U B^{1/2} is similar to (W^dagger U W)
+Lambda^{1/2}, and W^dagger U W is again Haar and independent of Lambda.
+Lambda^{1/2} is the set of singular values of R_x R_a^{-1}, where
+R_x^dagger R_x = X^dagger X and R_a^dagger R_a = A (``wishart_inv_sqrt``
+returns R_a^{-1}).  Each R is a Bartlett factor: for the Wishart matrix of
+an m x N quaternion Ginibre it is upper triangular, with quaternion
+Ginibre entries above the diagonal and R_jj^2 ~ Gamma(2(m-j)) on it (four
+real N(0, 1/2) components per entry, so R_jj^2 ~ chi^2_{4(m-j)}/2;
+Dumitriu & Edelman, J. Math. Phys. 43 (2002) 5830).  U is the Q of a QR
+factorisation with its column phases fixed by diag(R) (Mezzadri, Notices
+AMS 54 (2007) 592).  A trial costs O(N^3) time and O(N^2) memory, whatever
+n and L are.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular, svdvals
 
 from .errors import (
     CoincidenceError,
@@ -68,10 +83,6 @@ class QuaternionMatrix:
         )
 
 
-def _as_quaternion(rows: int, cols: int, data: np.ndarray) -> QuaternionMatrix:
-    return QuaternionMatrix(rows=rows, cols=cols, data=data)
-
-
 def ginibre_quaternion(rows: int, cols: int, rng: np.random.Generator) -> QuaternionMatrix:
     """Standard quaternion Ginibre matrix: blocks with independent complex
     Gaussian alpha, beta of unit total variance (Re, Im each N(0, 1/2))."""
@@ -84,58 +95,51 @@ def ginibre_quaternion(rows: int, cols: int, rng: np.random.Generator) -> Quater
     data[0::2, 1::2] = beta
     data[1::2, 0::2] = -np.conj(beta)
     data[1::2, 1::2] = np.conj(alpha)
-    return _as_quaternion(rows, cols, data)
+    return QuaternionMatrix(rows, cols, data)
 
 
-def _herm_func(a: np.ndarray, f, floor_rel: float = 1e-12, floor_frac_max: float = 0.01):
-    """f(A) for Hermitian A by eigendecomposition with an eigenvalue floor."""
-    lam, v = np.linalg.eigh(a)
-    lmax = float(np.max(np.abs(lam))) if lam.size else 0.0
-    floor = floor_rel * lmax
-    n_floored = int(np.sum(lam < floor))
-    if n_floored > floor_frac_max * lam.size:
-        raise SingularError(
-            f"{n_floored}/{lam.size} eigenvalues below the relative floor "
-            f"{floor_rel:g}; matrix too close to singular"
-        )
-    lam = np.maximum(lam, floor)
-    return (v * f(lam)) @ np.conj(v.T)
+def _bartlett_factor(m: int, N: int, rng: np.random.Generator) -> np.ndarray:
+    """Complex form of an upper-triangular quaternion R such that R^dagger R
+    has the law of the Wishart matrix of an m x N quaternion Ginibre."""
+    upper = np.kron(np.triu(np.ones((N, N)), 1), np.ones((2, 2)))
+    r = ginibre_quaternion(N, N, rng).data * upper
+    np.fill_diagonal(r, np.repeat(np.sqrt(rng.gamma(2.0 * (m - np.arange(N)))), 2))
+    return r
 
 
 def wishart_inv_sqrt(n: int, N: int, rng: np.random.Generator) -> QuaternionMatrix:
-    """A^{-1/2} for A = Y^dagger Y with Y an n x N quaternion Ginibre."""
+    """Inverse square root W of a Wishart matrix A, in the sense W^dagger A W = I.
+
+    A is the Wishart matrix of an n x N quaternion Ginibre, drawn as
+    A = R^dagger R through its Bartlett factor R, and W = R^{-1} is upper
+    triangular.
+    """
     if n < N:
         raise DomainError(f"wishart_inv_sqrt needs n >= N, got n={n}, N={N}")
-    y = ginibre_quaternion(n, N, rng)
-    a = np.conj(y.data.T) @ y.data
-    inv_sqrt = _herm_func(a, lambda lam: lam ** -0.5)
-    return _as_quaternion(N, N, inv_sqrt)
+    r = _bartlett_factor(n, N, rng)
+    try:
+        w = solve_triangular(r, np.eye(2 * N))
+    except np.linalg.LinAlgError as exc:
+        raise SingularError("singular Bartlett factor (measure-zero event)") from exc
+    return QuaternionMatrix(N, N, w)
 
 
 def haar_symplectic_unitary(N: int, rng: np.random.Generator) -> QuaternionMatrix:
-    """Haar symplectic unitary via quaternion-granularity Gram-Schmidt.
+    """Haar symplectic unitary: the Q of a quaternion Ginibre matrix's QR,
+    with each column scaled by the phase of its diagonal entry of R.
 
-    Orthonormalizes the quaternion columns of a quaternion Ginibre matrix;
-    the diagonal of the implied R consists of positive real scalars (the
-    quaternion norms), which is the block-wise analogue of the phase fix
-    that makes complex QR Haar.  A second orthogonalization pass keeps
-    U^dagger U at machine precision.
+    Complex QR with a positive diagonal is unique, and the quaternion QR
+    (block upper-triangular R with positive scalar diagonal blocks) is such
+    a factorisation, so this Q keeps the quaternion block structure to
+    rounding.
     """
     if N < 1:
         raise DomainError(f"need N >= 1, got {N}")
-    g = ginibre_quaternion(N, N, rng)
-    q = g.data.copy()
-    for j in range(N):
-        col = q[:, 2 * j : 2 * j + 2]
-        for _ in range(2):  # two MGS passes
-            for i in range(j):
-                prev = q[:, 2 * i : 2 * i + 2]
-                col -= prev @ (np.conj(prev.T) @ col)
-        norm = math.sqrt((np.conj(col[:, 0]) @ col[:, 0]).real)
-        if norm == 0.0:
-            raise SingularError("degenerate column in Haar QR (measure-zero event)")
-        col /= norm
-    return _as_quaternion(N, N, q)
+    q, r = np.linalg.qr(ginibre_quaternion(N, N, rng).data)
+    diag = np.diagonal(r)
+    if not np.all(diag):
+        raise SingularError("degenerate column in Haar QR (measure-zero event)")
+    return QuaternionMatrix(N, N, q * (diag / np.abs(diag)))
 
 
 @dataclass(frozen=True)
@@ -153,69 +157,35 @@ class SampleBatch:
 
 
 def _pair_conjugates(lam: np.ndarray, tol_rel: float = 1e-8) -> np.ndarray:
-    """Match a conjugation-closed spectrum into pairs; return the closed
-    upper-half-plane representatives (one per pair)."""
-    lam = np.asarray(lam)
-    scale = float(np.max(np.abs(lam))) if lam.size else 0.0
-    tol = tol_rel * max(scale, 1e-300)
-    order = np.argsort(-np.abs(lam.imag), kind="stable")
-    unused = list(order)
-    reps = []
-    while unused:
-        i = unused.pop(0)
-        li = lam[i]
-        if abs(li.imag) <= tol:
-            # numerically real eigenvalue: Kramers degeneracy means another
-            # near-equal real copy exists; match it if present.
-            best_j, best_d = None, math.inf
-            for j in unused:
-                d = abs(lam[j] - li)
-                if d < best_d:
-                    best_j, best_d = j, d
-            if best_j is not None and best_d <= tol:
-                unused.remove(best_j)
-                reps.append(complex(li.real, abs(li.imag)))
-                continue
-            warnings.warn(
-                f"self-paired numerically real eigenvalue {li:.6g}", stacklevel=3
-            )
-            reps.append(complex(li.real, 0.0))
-            continue
-        target = li.conjugate()
-        best_j, best_d = None, math.inf
-        for j in unused:
-            d = abs(lam[j] - target)
-            if d < best_d:
-                best_j, best_d = j, d
-        if best_j is None or best_d > tol:
-            raise PairingError(
-                f"no conjugate partner within {tol:.3e} for eigenvalue {li:.6g} "
-                f"(best distance {best_d:.3e})"
-            )
-        unused.remove(best_j)
-        reps.append(li if li.imag > 0 else lam[best_j])
-    return np.array(reps, dtype=complex)
+    """Pair a conjugation-closed spectrum by sorting on (real, imaginary)
+    part; return the closed upper-half-plane representative of each pair."""
+    pairs = lam[np.lexsort((lam.imag, lam.real))].reshape(-1, 2)
+    tol = tol_rel * max(float(np.max(np.abs(lam))), 1e-300)
+    gap = np.abs(pairs[:, 0] - np.conj(pairs[:, 1]))
+    bad = np.flatnonzero(~(gap <= tol))
+    if bad.size:
+        i = bad[0]
+        raise PairingError(
+            f"no conjugate partner within {tol:.3e} for eigenvalue {pairs[i, 0]:.6g} "
+            f"(nearest by real part at distance {gap[i]:.3e})"
+        )
+    top = np.where(pairs[:, 0].imag >= pairs[:, 1].imag, pairs[:, 0], pairs[:, 1])
+    return top.real + 1j * np.abs(top.imag)
 
 
 def _one_trial(params: EnsembleParams, rng: np.random.Generator, trial: int) -> np.ndarray:
     N = params.N
-    n_int = int(round(params.n))
-    L_int = int(round(params.L))
-    x = ginibre_quaternion(N + L_int, N, rng)
-    a_inv_sqrt = wishart_inv_sqrt(n_int, N, rng)
-    y = x.data @ a_inv_sqrt.data
-    b = np.conj(y.T) @ y
-    sqrt_b = _herm_func(b, lambda lam: np.sqrt(np.maximum(lam, 0.0)))
-    u = haar_symplectic_unitary(N, rng)
-    g = u.data @ sqrt_b
+    r_x = _bartlett_factor(N + int(round(params.L)), N, rng)
+    w = wishart_inv_sqrt(int(round(params.n)), N, rng).data
+    u = haar_symplectic_unitary(N, rng).data
     try:
-        lam = np.linalg.eigvals(g)
+        d = svdvals(r_x @ w)
+        # average the Kramers pairs (svdvals sorts them adjacent)
+        d = np.repeat(d.reshape(-1, 2).mean(axis=1), 2)
+        lam = np.linalg.eigvals(u * d)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver failed on trial {trial}") from exc
-    reps = _pair_conjugates(lam)
-    if len(reps) != N:
-        raise PairingError(f"trial {trial}: expected {N} pairs, got {len(reps)}")
-    return np.sort_complex(reps)
+    return np.sort_complex(_pair_conjugates(lam))
 
 
 def sample_ensemble(params: EnsembleParams, trials: int, seed: int) -> SampleBatch:

@@ -2,7 +2,6 @@
 
 Everything here is scalar complex/real double precision:
 
-* ``log_gamma`` -- log Gamma on the positive half line,
 * ``erfc_c`` / ``erf_c`` -- error functions of a complex argument, thin
   wrappers over scipy's Faddeeva-based ``erfc``/``erf`` (about 1e-13
   relative on |z| <= 10),
@@ -26,7 +25,6 @@ from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "Precision",
-    "log_gamma",
     "erfc_c",
     "erf_c",
     "mittag_leffler",
@@ -51,13 +49,6 @@ class Precision:
 
 
 DEFAULT_PRECISION = Precision()
-
-
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
-    if not x > 0:
-        raise DomainError(f"log_gamma needs x > 0, got {x}")
-    return float(gammaln(x))
 
 
 # -- complex error function -------------------------------------------------

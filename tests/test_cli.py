@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -229,6 +230,29 @@ def test_check_exit_codes_fuzz(capsys):
             rc = exc.code
         capsys.readouterr()
         assert rc in (0, 2, 3, 4), argv
+
+
+_NAN_TERMS = SimpleNamespace(term1=math.nan, term2=math.nan, term3=math.nan)
+
+
+@pytest.mark.parametrize("argv,module,name,nan_result,key", [
+    (["check", "cdi", "--N", "3", "--n", "6", "--L", "1"],
+     "sphefaffian.cdi", "cdi_residual", math.nan, "max_residual"),
+    (["check", "ode", "--variant", "weak", "--rho", "2"],
+     "sphefaffian.limits", "ode_residual", (math.nan, math.nan), "max_residual"),
+    (["check", "sop-equiv", "--N", "5", "--n", "9", "--L", "2.5"],
+     "sphefaffian.finitekernel", "route_gap", math.nan, "max_relative_error"),
+    (["check", "beta", "--N", "4", "--n", "9", "--L", "1.5"],
+     "sphefaffian.cdi", "cdi_rhs_beta_form", _NAN_TERMS, "max_relative_error"),
+], ids=["cdi", "ode", "sop-equiv", "beta"])
+def test_nan_residual_fails_the_check(argv, module, name, nan_result, key, monkeypatch, capsys):
+    # the builtin max drops a NaN (max(0.0, nan) is 0.0): a NaN residual must
+    # fail the check instead of reading as a perfect pass
+    monkeypatch.setattr(f"{module}.{name}", lambda *_a, **_k: nan_result)
+    assert main(argv) == 4
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False
+    assert math.isnan(report[key])
 
 
 class TestEntryPoint:

@@ -23,7 +23,7 @@ from sphefaffian.finitekernel import (
     _power_sum,
     correlation_rk,
     g_hat,
-    moments_h,
+    log_moments_h,
     rescaled_kernel,
     rescaled_r1,
     skew_kernel_tilde,
@@ -36,6 +36,11 @@ from sphefaffian.limits import LimitKernelSpec, kappa_strong
 def radial_weight(params, r):
     """e^{-2NQ(r)} = r^{4L} (1+r^2)^{-2(n+L+1)}."""
     return r ** (4 * params.L) * (1.0 + r * r) ** (-2 * (params.n + params.L + 1))
+
+
+def moments_h(params, k):
+    """h_k in linear space, for moderate k, n and L."""
+    return math.exp(log_moments_h(params, k))
 
 
 class TestMoments:

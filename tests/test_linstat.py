@@ -14,27 +14,29 @@ from sphefaffian.linstat import (
     exact_variance,
     laplace_saddle,
     mc_linear_statistic,
-    ul_moments,
 )
+from sphefaffian.finitekernel import log_moments_h
 from sphefaffian.sampler import sample_ensemble
 
 R2 = RadialStatistic.r_squared()
 ONE = RadialStatistic.constant(1.0)
 
 
+def radial_moments(pa):
+    """u_l = int_0^inf r^{4l+4L+3} (1+r^2)^{-2(n+L+1)} dr = h_{2l+1}/2, l = 0..N-1."""
+    return np.exp(log_moments_h(pa, 2.0 * np.arange(pa.N) + 1)) / 2
+
+
 class TestMoments:
     def test_u0_closed_value(self):
         # u_0 = int r^3 (1+r^2)^{-6} dr = 1/40 at (N=1, n=2, L=0)
         pa = EnsembleParams(N=1, n=2.0, L=0.0)
-        ul_b, ul = ul_moments(pa, None, 0.0)
-        assert ul[0] == pytest.approx(1.0 / 40.0, rel=1e-12)
-        assert ul_b[0] == pytest.approx(1.0 / 40.0, rel=1e-12)
+        assert radial_moments(pa)[0] == pytest.approx(1.0 / 40.0, rel=1e-12)
 
     def test_zero_statistic_is_identity(self):
         pa = EnsembleParams(N=3, n=6.0, L=1.0)
-        ul_b, ul = ul_moments(pa, RadialStatistic.constant(0.0), 0.7)
-        # e^{i k * 0} = 1, so the weighted moments coincide with the bare ones
-        assert np.allclose(ul_b, ul, rtol=1e-10)
+        # e^{i k * 0} = 1, so every per-degree phase average is 1
+        assert char_function(pa, RadialStatistic.constant(0.0), 0.7) == pytest.approx(1.0, rel=1e-10)
 
     def test_closed_form_agrees_with_quadrature_band(self):
         # u_l = (1/2) int_0^1 t^{2l+2L+1} (1-t)^{2(n-l)-1} dt by adaptive quad,
@@ -43,7 +45,7 @@ class TestMoments:
 
         for N, n, L in ((4, 8.0, 1.0), (6, 12.0, 2.5), (20, 40.0, 1.0)):
             pa = EnsembleParams(N=N, n=n, L=L)
-            _, ul = ul_moments(pa, None, 0.0)
+            ul = radial_moments(pa)
             degrees = [l for l in range(N) if 4 * l + 4 * L + 3 <= 60.0]
             assert degrees
             for l in degrees:

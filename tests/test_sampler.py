@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import betainc
+from scipy.stats import ks_2samp, kstest
 
 from sphefaffian.errors import CoincidenceError, DomainError, PairingError
 from sphefaffian.params import EnsembleParams, droplet
 from sphefaffian.sampler import (
+    _bartlett_factor,
+    _pair_conjugates,
     SpherePoint,
     cayley_klein,
     coulomb_energy,
@@ -42,13 +46,26 @@ class TestGinibre:
 
 class TestWishart:
     def test_defining_property(self):
-        rng = np.random.default_rng(2)
-        # reproduce A from the same stream, then check the inverse sqrt
-        y = ginibre_quaternion(8, 4, np.random.default_rng(2))
-        a = np.conj(y.data.T) @ y.data
+        # reproduce A = R^dagger R from the same stream, then check the inverse sqrt
+        r = _bartlett_factor(8, 4, np.random.default_rng(2))
+        a = np.conj(r.T) @ r
         inv_sqrt = wishart_inv_sqrt(8, 4, np.random.default_rng(2)).data
         res = np.conj(inv_sqrt.T) @ a @ inv_sqrt
         assert np.max(np.abs(res - np.eye(8))) < 1e-8
+
+    def test_bartlett_law_matches_ginibre_gram(self):
+        # R^dagger R of the Bartlett factor and Y^dagger Y of an m x N
+        # quaternion Ginibre Y: two-sample KS on the pooled eigenvalues
+        # and on the (1,1) entry
+        N, m, draws = 4, 7, 400
+        rng = np.random.default_rng(15)
+        gram = lambda f: np.conj(f.T) @ f
+        ginibre = [gram(ginibre_quaternion(m, N, rng).data) for _ in range(draws)]
+        bartlett = [gram(_bartlett_factor(m, N, rng)) for _ in range(draws)]
+        for stat in (np.linalg.eigvalsh, lambda a: a[:1, 0].real):
+            x = np.concatenate([stat(a) for a in ginibre])
+            y = np.concatenate([stat(a) for a in bartlett])
+            assert ks_2samp(x, y).pvalue > 0.01
 
     def test_structure_preserved(self):
         w = wishart_inv_sqrt(10, 5, np.random.default_rng(3))
@@ -74,6 +91,21 @@ class TestHaar:
         assert np.max(np.abs(np.conj(u.data.T) @ u.data - eye)) < 1e-10
         assert u.structure_deviation() < 1e-12
 
+    def test_matches_quaternion_gram_schmidt(self):
+        # quaternion QR with a positive diagonal is unique: the phase-fixed
+        # complex QR must equal quaternion-granular Gram-Schmidt on the same draw
+        for N, seed in ((1, 0), (3, 1), (12, 2)):
+            q = ginibre_quaternion(N, N, np.random.default_rng(seed)).data.copy()
+            for j in range(N):
+                col = q[:, 2 * j : 2 * j + 2]
+                for _ in range(2):
+                    for i in range(j):
+                        prev = q[:, 2 * i : 2 * i + 2]
+                        col -= prev @ (np.conj(prev.T) @ col)
+                col /= np.linalg.norm(col[:, 0])
+            u = haar_symplectic_unitary(N, np.random.default_rng(seed)).data
+            assert np.max(np.abs(u - q)) < 1e-12
+
     def test_phase_repulsion(self):
         # Kramers-paired phases of symplectic unitaries repel: the rate of
         # near-coincident INDEPENDENT phase pairs must be well below the
@@ -93,6 +125,36 @@ class TestHaar:
         assert close / trials < 0.5 * uniform_rate + 3.0 * math.sqrt(
             uniform_rate / trials
         )
+
+
+def pair_by_search(lam):
+    """O(N^2) reference pairing: each eigenvalue, largest |Im| first, takes the
+    unused eigenvalue nearest its conjugate."""
+    unused = list(np.argsort(-np.abs(lam.imag), kind="stable"))
+    reps = []
+    while unused:
+        i = unused.pop(0)
+        j = min(unused, key=lambda j: abs(lam[j] - np.conj(lam[i])))
+        unused.remove(j)
+        top = lam[i] if lam[i].imag >= lam[j].imag else lam[j]
+        reps.append(complex(top.real, abs(top.imag)))
+    return np.sort_complex(np.array(reps))
+
+
+class TestPairing:
+    def test_sort_matches_nearest_partner_search(self):
+        for seed in range(5):
+            g = ginibre_quaternion(30, 30, np.random.default_rng(seed)).data
+            lam = np.linalg.eigvals(g)
+            got = np.sort_complex(_pair_conjugates(lam))
+            assert np.array_equal(got, pair_by_search(lam))
+            assert np.all(got.imag >= 0)
+
+    def test_missing_partner_raises(self):
+        lam = np.linalg.eigvals(ginibre_quaternion(10, 10, np.random.default_rng(0)).data)
+        lam[3] += 1e-3
+        with pytest.raises(PairingError):
+            _pair_conjugates(lam)
 
 
 class TestSampling:
@@ -236,3 +298,24 @@ class TestRadialHistogram:
         edges = np.array([0.0, 0.5 * geo.r1, geo.r1, geo.r2, geo.r2 + 0.3])
         h = empirical_radial_density(batch, bins=edges)
         assert h.predicted[0] == 0.0
+
+
+class TestRadialLaw:
+    @pytest.mark.parametrize(
+        "N,n,L,trials",
+        [(50, 100, 50, 200), (20, 45, 3, 300), (8, 9, 0, 1000), (40, 160, 120, 150)],
+    )
+    def test_moduli_match_the_exact_beta_mixture(self, N, n, L, trials):
+        # the moduli t = |zeta|^2/(1+|zeta|^2) of one trial are independent
+        # Beta(2l+2L+2, 2(n-l)), l = 0..N-1 (Kostlan), so the pooled t have
+        # the CDF (1/N) sum_l I_t(2l+2L+2, 2(n-l)); one draw per component
+        # per trial makes the KS p-value conservative
+        pa = EnsembleParams(N=N, n=float(n), L=float(L))
+        r2 = np.abs(sample_ensemble(pa, trials=trials, seed=N + n + L).all_points()) ** 2
+        l = np.arange(N)
+
+        def cdf(t):
+            t = np.asarray(t)[..., None]
+            return np.mean(betainc(2 * l + 2 * L + 2, 2 * (n - l), t), axis=-1)
+
+        assert kstest(r2 / (1 + r2), cdf).pvalue > 0.01

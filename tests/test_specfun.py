@@ -13,29 +13,10 @@ from sphefaffian.specfun import (
     Precision,
     erf_c,
     erfc_c,
-    log_gamma,
     mittag_leffler,
     reg_inc_beta,
     reg_inc_gamma_p,
 )
-
-
-class TestLogGamma:
-    def test_at_one(self):
-        assert log_gamma(1.0) == 0.0
-
-    def test_half(self):
-        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
-
-    @pytest.mark.parametrize("x", [0.3, 1.7, 9.2])
-    def test_duplication_formula(self, x):
-        lhs = log_gamma(2 * x)
-        rhs = (2 * x - 1) * math.log(2.0) - 0.5 * math.log(math.pi) + log_gamma(x) + log_gamma(x + 0.5)
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            log_gamma(0.0)
 
 
 class TestErfc:
