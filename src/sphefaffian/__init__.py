@@ -35,7 +35,6 @@ from .params import (
     weight_omega,
 )
 from .specfun import (
-    Precision,
     erf_c,
     erfc_c,
     mittag_leffler,

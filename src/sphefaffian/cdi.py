@@ -51,6 +51,7 @@ __all__ = [
     "cdi_rhs_beta_form",
     "cdi_derivative",
     "cdi_residual",
+    "beta_gap",
     "rescaled_cdi_terms",
     "limiting_f",
 ]
@@ -243,6 +244,25 @@ def cdi_residual(params: EnsembleParams, zeta: complex, eta: complex) -> float:
     lz = _derivative_weight(params, zeta)
     m, (t1, t2, t3) = _common_scale([(lz + x, s) for x, s in _log_terms(params, zeta, eta)])
     return _relative_gap(lhs, (m, t1 - t2 - t3))
+
+
+def beta_gap(params: EnsembleParams, zeta: complex, eta: complex) -> float:
+    """Largest relative gap between cdi_rhs and cdi_rhs_beta_form over the
+    three terms: |a-b| / max(|a|, |b|), or |a-b| where both are 0; NaN if
+    a term is NaN.
+
+    The terms meet in linear space, where a term below double range reads 0
+    on both sides and passes.  At their common scale term I would fail at
+    large n+L: at Strong(1,1,1), N = 200 or 400, its beta-form mantissa is
+    exactly 0 where the direct sum is exp(-772) or smaller, a gap of 1.
+    That comparison waits for the beta form to carry its own scale.
+    """
+    t1, t2 = cdi_rhs(params, zeta, eta), cdi_rhs_beta_form(params, zeta, eta)
+    gaps = []
+    for a, b in ((t1.term1, t2.term1), (t1.term2, t2.term2), (t1.term3, t2.term3)):
+        denom = max(abs(a), abs(b))
+        gaps.append(abs(a - b) / denom if denom > 0 else abs(a - b))
+    return float(np.max(gaps))
 
 
 def rescaled_cdi_terms(

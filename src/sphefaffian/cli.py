@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, cdi, finitekernel, limits
 from .errors import SphefaffianError
 from .params import EnsembleParams, Origin, Strong, Weak, droplet
 from .pfaffian import pfaffian  # noqa: F401  (re-exported for scripts)
@@ -242,68 +242,67 @@ def _limit_spec_for(regime):
     return LimitKernelSpec("origin", L=regime.L)
 
 
-# default tolerance of each `check`
-_CHECK_TOL = {"cdi": 1e-8, "ode": 1e-6, "sop-equiv": 1e-10, "beta": 1e-9}
-
-
 def _worst(residuals) -> float:
     """Largest residual, NaN if any is NaN (the builtin max drops a NaN)."""
     return float(np.max(residuals, initial=0.0))
 
 
+def _drawn(seed: int, count: int, coord):
+    """count (z, w) pairs from default_rng(seed), each coordinate one coord(rng)."""
+    rng = np.random.default_rng(seed)
+    return [(coord(rng), coord(rng)) for _ in range(count)]
+
+
+# Each check's setup(args) returns (points, residual) with residual(z, w) a
+# float; residuals look their library function up on its module at call time.
+
+def _check_cdi(args):
+    params = _params_from_args(args)
+    points = _drawn(0, 25, lambda r: r.normal(scale=0.4) + 1j * r.normal(scale=0.4))
+    return points, lambda z, w: cdi.cdi_residual(params, z, w)
+
+
+def _check_ode(args):
+    spec = _named_limit_spec("--variant", args.variant, args)
+    grid = [complex(x, y) for x in (-0.6, 0.2, 0.7) for y in (-0.5, 0.4)]
+    points = [(z, w) for z in grid for w in grid]
+    return points, lambda z, w: _worst(limits.ode_residual(spec, z, w))
+
+
+def _check_sop_equiv(args):
+    system = finitekernel.skew_op_system(_params_from_args(args))
+    points = _drawn(1, 20, lambda r: r.normal(scale=0.5) + 1j * r.normal(scale=0.5))
+    return points, lambda z, w: finitekernel.route_gap(system, z, w)
+
+
+def _check_beta(args):
+    params = _params_from_args(args)
+    points = _drawn(2, 15, lambda r: r.uniform(0.05, 0.5) + 1j * r.uniform(-0.05, 0.05))
+    return points, lambda z, w: cdi.beta_gap(params, z, w)
+
+
+# check name -> (setup, default tolerance, report key of the worst residual)
+_CHECKS = {
+    "cdi": (_check_cdi, 1e-8, "max_residual"),
+    "ode": (_check_ode, 1e-6, "max_residual"),
+    "sop-equiv": (_check_sop_equiv, 1e-10, "max_relative_error"),
+    "beta": (_check_beta, 1e-9, "max_relative_error"),
+}
+
+
 def cmd_check(args) -> int:
-    import numpy.random as npr
-
+    setup, tol, key = _CHECKS[args.what]
     report = {"version": __version__, "check": args.what, "passed": True}
-    if args.what == "cdi":
-        from .cdi import cdi_residual
-
-        params = EnsembleParams(N=args.N, n=float(args.n), L=float(args.L))
-        rng = npr.default_rng(0)
-        residuals = []
-        for _ in range(25):
-            z = rng.normal(scale=0.4) + 1j * rng.normal(scale=0.4)
-            e = rng.normal(scale=0.4) + 1j * rng.normal(scale=0.4)
-            residuals.append(cdi_residual(params, z, e))
-        worst = _worst(residuals)
-        report.update(max_residual=worst)
-    elif args.what == "ode":
-        from .limits import ode_residual
-
-        spec = _named_limit_spec("--variant", args.variant, args)
-        grid = [complex(x, y) for x in (-0.6, 0.2, 0.7) for y in (-0.5, 0.4)]
-        worst = _worst([r for z in grid for w in grid for r in ode_residual(spec, z, w)])
-        report.update(variant=args.variant, max_residual=worst)
-    elif args.what == "sop-equiv":
-        from .finitekernel import route_gap, skew_op_system
-
-        system = skew_op_system(EnsembleParams(N=args.N, n=float(args.n), L=float(args.L)))
-        rng = npr.default_rng(1)
-        residuals = []
-        for _ in range(20):
-            z = rng.normal(scale=0.5) + 1j * rng.normal(scale=0.5)
-            e = rng.normal(scale=0.5) + 1j * rng.normal(scale=0.5)
-            residuals.append(route_gap(system, z, e))
-        worst = _worst(residuals)
-        report.update(max_relative_error=worst)
-    elif args.what == "beta":
-        from .cdi import cdi_rhs, cdi_rhs_beta_form
-
-        params = EnsembleParams(N=args.N, n=float(args.n), L=float(args.L))
-        rng = npr.default_rng(2)
-        residuals = []
-        for _ in range(15):
-            z = rng.uniform(0.05, 0.5) + 1j * rng.uniform(-0.05, 0.05)
-            e = rng.uniform(0.05, 0.5) + 1j * rng.uniform(-0.05, 0.05)
-            t1 = cdi_rhs(params, z, e)
-            t2 = cdi_rhs_beta_form(params, z, e)
-            for a, b in ((t1.term1, t2.term1), (t1.term2, t2.term2), (t1.term3, t2.term3)):
-                denom = max(abs(a), abs(b))
-                residuals.append(abs(a - b) / denom if denom > 0 else abs(a - b))
-        worst = _worst(residuals)
-        report.update(max_relative_error=worst)
-    report["tolerance"] = args.tol if args.tol is not None else _CHECK_TOL[args.what]
+    if args.what == "ode":
+        report["variant"] = args.variant
+    points, residual = setup(args)
+    residuals = np.array([residual(z, w) for z, w in points], dtype=float)
+    report[key] = worst = _worst(residuals)
+    report["tolerance"] = args.tol if args.tol is not None else tol
     report["passed"] = worst <= report["tolerance"]
+    z, w = points[int(np.argmax(residuals))]  # the first NaN if there is one
+    report["worst_point"] = [z.real, z.imag, w.real, w.imag]
+    report["nonfinite"] = int(np.count_nonzero(~np.isfinite(residuals)))
 
     text = json.dumps(report, indent=2)
     if args.out:
@@ -411,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk.set_defaults(func=cmd_kernel)
 
     pc = sub.add_parser("check", help="run identity/residual self-checks")
-    pc.add_argument("what", choices=list(_CHECK_TOL))
+    pc.add_argument("what", choices=list(_CHECKS))
     pc.add_argument("--N", type=int, default=3)
     pc.add_argument("--n", type=float, default=6.0)
     pc.add_argument("--L", type=float, default=1.0)

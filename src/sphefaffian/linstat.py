@@ -60,8 +60,8 @@ def _radial_average(params: EnsembleParams, l: int, func) -> complex:
     """<func(r)>_l under the weight r^{4l+4L+3} (1+r^2)^{-2(n+L+1)} dr.
 
     In t = r^2/(1+r^2) the weight becomes t^{2l+2L+1} (1-t)^{2(n-l)-1}/2,
-    a beta integrand on [0,1]; both numerator and denominator carry the
-    same exp(-logmax) rescaling, which cancels in the ratio.
+    a beta integrand on [0,1], rescaled by exp(-logmax) in numerator and
+    denominator alike; a quad error estimate above 1e-8 den raises.
     """
     n, L = params.n, params.L
     a_exp = 2 * l + 2 * L + 1.0
@@ -78,13 +78,16 @@ def _radial_average(params: EnsembleParams, l: int, func) -> complex:
     def r_of(t):
         return math.sqrt(t / (1.0 - t))
 
-    den, den_err = quad(weight, 0.0, 1.0, points=[t_star], epsabs=1e-14, epsrel=1e-12, limit=200)
+    def integral(f):
+        return quad(f, 0.0, 1.0, points=[t_star], epsabs=1e-14, epsrel=1e-12, limit=200)
+
+    den, den_err = integral(weight)
     if den <= 0 or den_err > 1e-8 * den:
         raise QuadratureError(f"denominator quadrature unreliable at l={l}")
-    re, re_err = quad(lambda t: weight(t) * func(r_of(t)).real, 0.0, 1.0,
-                      points=[t_star], epsabs=1e-14, epsrel=1e-12, limit=200)
-    im, _ = quad(lambda t: weight(t) * func(r_of(t)).imag, 0.0, 1.0,
-                 points=[t_star], epsabs=1e-14, epsrel=1e-12, limit=200)
+    re, re_err = integral(lambda t: weight(t) * func(r_of(t)).real)
+    im, im_err = integral(lambda t: weight(t) * func(r_of(t)).imag)
+    if max(re_err, im_err) > 1e-8 * den:
+        raise QuadratureError(f"numerator quadrature unreliable at l={l}")
     return complex(re, im) / den
 
 

@@ -166,13 +166,7 @@ def weight_omega(params: EnsembleParams, zeta: complex) -> float:
     Computed in the log domain so n+L up to ~1e4 neither overflows nor
     underflows prematurely.
     """
-    z = complex(zeta)
-    a = abs(1.0 + z * z)
-    if a == 0.0:
-        return 0.0  # zeta = +-i, positive exponent since n+L > 1/2
-    return math.exp(
-        (params.nl - 0.5) * math.log(a) - (params.nl + 1.0) * math.log1p(abs(z) ** 2)
-    )
+    return math.exp(log_weight_omega(params, zeta))  # exp(-inf) = 0 at zeta = +-i
 
 
 def log_weight_omega(params: EnsembleParams, zeta: complex) -> float:

@@ -10,13 +10,16 @@ Everything here is scalar complex/real double precision:
   complex z along the straight ray from 0,
 * ``reg_inc_beta`` -- regularised incomplete beta I_x(a,b) in the cut
   plane via the hypergeometric series.
+
+The series stop after three consecutive terms below ``_REL_TOL`` (1e-13)
+of the running sum and raise ConvergenceError after ``_MAX_TERMS`` (10**6)
+terms.  Both are module constants, read at each call.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf as _erf, erfc as _erfc, gammaln, rgamma
@@ -24,7 +27,6 @@ from scipy.special import erf as _erf, erfc as _erfc, gammaln, rgamma
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "Precision",
     "erfc_c",
     "erf_c",
     "mittag_leffler",
@@ -34,21 +36,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Precision:
-    """Stopping control for the series evaluators."""
-
-    rel_tol: float = 1e-13
-    max_terms: int = 10**6
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1.0):
-            raise DomainError(f"rel_tol must be in (0,1), got {self.rel_tol}")
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-DEFAULT_PRECISION = Precision()
+_REL_TOL = 1e-13
+_MAX_TERMS = 10**6
 
 
 # -- complex error function -------------------------------------------------
@@ -65,13 +54,11 @@ def erf_c(z: complex) -> complex:
 
 # -- Mittag-Leffler ---------------------------------------------------------
 
-def mittag_leffler(
-    a: float, b: float, z: complex, prec: Precision = DEFAULT_PRECISION
-) -> complex:
+def mittag_leffler(a: float, b: float, z: complex) -> complex:
     """Two-parameter Mittag-Leffler E_{a,b}(z) = sum_k z^k / Gamma(a k + b).
 
     Terms are assembled as exp(k log z - lgamma(ak+b)) so large |z| never
-    overflows intermediate powers.  Truncation: |term| < rel_tol * |sum|
+    overflows intermediate powers.  Truncation: |term| < _REL_TOL * |sum|
     for 3 consecutive terms.
     """
     if not a > 0:
@@ -85,8 +72,8 @@ def mittag_leffler(
     small_streak = 0
     chunk = 64
     k0 = 1
-    while k0 <= prec.max_terms:
-        ks = np.arange(k0, min(k0 + chunk, prec.max_terms + 1))
+    while k0 <= _MAX_TERMS:
+        ks = np.arange(k0, min(k0 + chunk, _MAX_TERMS + 1))
         args = a * ks + b
         terms = np.empty(len(ks), dtype=complex)
         pos = args > 0
@@ -96,7 +83,7 @@ def mittag_leffler(
             terms[~pos] = np.exp(ks[~pos] * logz) * rgamma(args[~pos])
         for t in terms:
             total += t
-            if abs(t) < prec.rel_tol * abs(total):
+            if abs(t) < _REL_TOL * abs(total):
                 small_streak += 1
                 if small_streak >= 3:
                     return total
@@ -104,15 +91,13 @@ def mittag_leffler(
                 small_streak = 0
         k0 += chunk
     raise ConvergenceError(
-        f"mittag_leffler(a={a}, b={b}) did not converge within {prec.max_terms} terms"
+        f"mittag_leffler(a={a}, b={b}) did not converge within {_MAX_TERMS} terms"
     )
 
 
 # -- regularised incomplete gamma -------------------------------------------
 
-def inc_gamma_entire_part(
-    c: float, z: complex, prec: Precision = DEFAULT_PRECISION
-) -> complex:
+def inc_gamma_entire_part(c: float, z: complex) -> complex:
     """The entire function E_c(z) = sum_{m>=0} z^m / Gamma(c+m+1).
 
     P(c,z) factors as z^c e^{-z} E_c(z); exposing E_c lets callers choose
@@ -125,10 +110,10 @@ def inc_gamma_entire_part(
         return total
     logz = cmath.log(z)
     small_streak = 0
-    for m in range(1, prec.max_terms + 1):
+    for m in range(1, _MAX_TERMS + 1):
         t = cmath.exp(m * logz - gammaln(c + m + 1.0))
         total += t
-        if abs(t) < prec.rel_tol * abs(total):
+        if abs(t) < _REL_TOL * abs(total):
             small_streak += 1
             if small_streak >= 3:
                 return total
@@ -137,9 +122,7 @@ def inc_gamma_entire_part(
     raise ConvergenceError(f"inc_gamma_entire_part(c={c}, z={z}) did not converge")
 
 
-def reg_inc_gamma_p(
-    c: float, z: complex, prec: Precision = DEFAULT_PRECISION
-) -> complex:
+def reg_inc_gamma_p(c: float, z: complex) -> complex:
     """P(c,z) = gamma(c,z)/Gamma(c), the lower incomplete gamma along the ray 0->z.
 
     Uses the everywhere-convergent series
@@ -152,14 +135,12 @@ def reg_inc_gamma_p(
     if z == 0:
         return 0.0 + 0.0j
     log_pref = c * cmath.log(z) - z
-    return cmath.exp(log_pref) * inc_gamma_entire_part(c, z, prec)
+    return cmath.exp(log_pref) * inc_gamma_entire_part(c, z)
 
 
 # -- regularised incomplete beta --------------------------------------------
 
-def reg_inc_beta(
-    x: complex, a: float, b: float, prec: Precision = DEFAULT_PRECISION
-) -> complex:
+def reg_inc_beta(x: complex, a: float, b: float) -> complex:
     """Regularised incomplete beta I_x(a,b) on the cut plane C \\ (-inf, 0).
 
     Evaluated through
@@ -183,13 +164,13 @@ def reg_inc_beta(
     if x.imag == 0.0 and x.real < 0.0:
         raise DomainError(f"reg_inc_beta: x={x} lies on the branch cut (-inf, 0)")
     if x.real > 0.5:
-        return 1.0 - reg_inc_beta(1.0 - x, b, a, prec)
+        return 1.0 - reg_inc_beta(1.0 - x, b, a)
     u = x / (x - 1.0)
     if abs(x) < abs(u):
-        f = _hyp2f1_unit_series(a + b, a + 1.0, x, prec)
+        f = _hyp2f1_unit_series(a + b, a + 1.0, x)
         b_exp = b
     else:
-        f = _hyp2f1_unit_series(1.0 - b, a + 1.0, u, prec)
+        f = _hyp2f1_unit_series(1.0 - b, a + 1.0, u)
         b_exp = b - 1.0
     log_pref = (
         gammaln(a + b)
@@ -202,12 +183,12 @@ def reg_inc_beta(
     return cmath.exp(log_pref) * f
 
 
-def _hyp2f1_unit_series(beta: float, gamma_: float, u: complex, prec: Precision) -> complex:
+def _hyp2f1_unit_series(beta: float, gamma_: float, u: complex) -> complex:
     # 2F1(1, beta; gamma; u) = sum_s (beta)_s / (gamma)_s u^s
     term = 1.0 + 0.0j
     total = 1.0 + 0.0j
     small_streak = 0
-    for s in range(prec.max_terms):
+    for s in range(_MAX_TERMS):
         term *= (beta + s) / (gamma_ + s) * u
         total += term
         if abs(term) > 1e250:
@@ -215,7 +196,7 @@ def _hyp2f1_unit_series(beta: float, gamma_: float, u: complex, prec: Precision)
                 f"reg_inc_beta hypergeometric series diverging (|term|>{1e250:g}) "
                 f"at s={s}; parameters too large for the series route"
             )
-        if abs(term) < prec.rel_tol * abs(total):
+        if abs(term) < _REL_TOL * abs(total):
             small_streak += 1
             if small_streak >= 3:
                 return total

@@ -7,6 +7,8 @@ import pytest
 from sphefaffian.errors import DomainError, NumericalError, PoleError
 from sphefaffian.params import EnsembleParams, Origin, Strong, Weak, local_scale_delta
 from sphefaffian.cdi import (
+    CdiTerms,
+    beta_gap,
     cdi_derivative,
     cdi_fractions,
     cdi_residual,
@@ -95,6 +97,26 @@ class TestBetaForm:
         b = cdi_rhs_beta_form(pa, 0.2, 0.35 + 0.05j)
         for x, y in ((a.term1, b.term1), (a.term2, b.term2), (a.term3, b.term3)):
             assert abs(x - y) <= 1e-8 * max(abs(x), abs(y))
+
+    def test_beta_gap_is_the_per_term_rule(self):
+        # at the points of `check beta --N 4 --n 9 --L 1.5`, beta_gap is the
+        # largest per-term |a-b| / max(|a|, |b|) (|a-b| where both are 0)
+        pa = EnsembleParams(N=4, n=9.0, L=1.5)
+        rng = np.random.default_rng(2)
+        for _ in range(15):
+            z = rng.uniform(0.05, 0.5) + 1j * rng.uniform(-0.05, 0.05)
+            e = rng.uniform(0.05, 0.5) + 1j * rng.uniform(-0.05, 0.05)
+            a, b = cdi_rhs(pa, z, e), cdi_rhs_beta_form(pa, z, e)
+            want = 0.0
+            for x, y in ((a.term1, b.term1), (a.term2, b.term2), (a.term3, b.term3)):
+                denom = max(abs(x), abs(y))
+                want = max(want, abs(x - y) / denom if denom > 0 else abs(x - y))
+            assert beta_gap(pa, z, e) == want
+
+    def test_beta_gap_propagates_nan(self, monkeypatch):
+        nan_terms = CdiTerms(math.nan, 0.0, 0.0)
+        monkeypatch.setattr("sphefaffian.cdi.cdi_rhs_beta_form", lambda *_a: nan_terms)
+        assert math.isnan(beta_gap(EnsembleParams(N=4, n=9.0, L=1.5), 0.2, 0.35))
 
     def test_q_sums_vanish_at_origin_eta(self):
         pa = EnsembleParams(N=3, n=6.0, L=1.0)

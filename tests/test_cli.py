@@ -7,7 +7,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from sphefaffian import cdi, finitekernel, limits
 from sphefaffian.cli import main
+from sphefaffian.limits import LimitKernelSpec
+from sphefaffian.params import EnsembleParams
 
 
 def run_cli(args, cwd):
@@ -253,6 +256,65 @@ def test_nan_residual_fails_the_check(argv, module, name, nan_result, key, monke
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] is False
     assert math.isnan(report[key])
+
+
+_KEYS = ["version", "check", "passed"]
+
+# the README's four checks: argv, report keys, the library residual of a
+# (z, w) pair, the number of points, and the module function a NaN is patched into
+_README_CHECKS = {
+    "cdi": (["check", "cdi", "--N", "3", "--n", "6", "--L", "1"],
+            _KEYS + ["max_residual", "tolerance"],
+            lambda z, w: cdi.cdi_residual(EnsembleParams(3, 6.0, 1.0), z, w), 25,
+            cdi, "cdi_residual", math.nan),
+    "ode": (["check", "ode", "--variant", "weak", "--rho", "2"],
+            _KEYS + ["variant", "max_residual", "tolerance"],
+            lambda z, w: max(limits.ode_residual(LimitKernelSpec("weak", rho=2.0), z, w)), 36,
+            limits, "ode_residual", (math.nan, math.nan)),
+    "sop-equiv": (["check", "sop-equiv", "--N", "5", "--n", "9", "--L", "2.5"],
+                  _KEYS + ["max_relative_error", "tolerance"],
+                  lambda z, w: finitekernel.route_gap(
+                      finitekernel.skew_op_system(EnsembleParams(5, 9.0, 2.5)), z, w), 20,
+                  finitekernel, "route_gap", math.nan),
+    "beta": (["check", "beta", "--N", "4", "--n", "9", "--L", "1.5"],
+             _KEYS + ["max_relative_error", "tolerance"],
+             lambda z, w: cdi.beta_gap(EnsembleParams(4, 9.0, 1.5), z, w), 15,
+             cdi, "cdi_rhs_beta_form", _NAN_TERMS),
+}
+
+
+@pytest.mark.parametrize("what", list(_README_CHECKS))
+class TestCheckReport:
+    def test_keys_end_with_worst_point_and_nonfinite(self, what, capsys):
+        argv, keys, *_ = _README_CHECKS[what]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert list(report) == keys + ["worst_point", "nonfinite"]
+        assert report["nonfinite"] == 0
+
+    def test_worst_point_gives_the_reported_maximum(self, what, capsys):
+        argv, keys, residual, *_ = _README_CHECKS[what]
+        main(argv)
+        report = json.loads(capsys.readouterr().out)
+        zr, zi, wr, wi = report["worst_point"]
+        assert residual(complex(zr, zi), complex(wr, wi)) == report[keys[-2]]
+
+    def test_nan_on_every_other_point_is_counted(self, what, monkeypatch, capsys):
+        argv, keys, _, count, module, name, nan_result = _README_CHECKS[what]
+        real, calls = getattr(module, name), []
+
+        def every_other(subject, z, w):
+            calls.append((z, w))
+            return nan_result if len(calls) % 2 else real(subject, z, w)
+
+        monkeypatch.setattr(module, name, every_other)
+        assert main(argv) == 4
+        report = json.loads(capsys.readouterr().out)
+        assert len(calls) == count
+        assert report["nonfinite"] == (count + 1) // 2
+        assert math.isnan(report[keys[-2]])
+        z, w = calls[0]  # the first NaN is the worst point
+        assert report["worst_point"] == [z.real, z.imag, w.real, w.imag]
 
 
 class TestEntryPoint:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sphefaffian.errors import DegenerateSaddleWarning, DomainError
+from sphefaffian import linstat
+from sphefaffian.errors import DegenerateSaddleWarning, DomainError, QuadratureError
 from sphefaffian.params import EnsembleParams, Strong, droplet
 from sphefaffian.linstat import (
     RadialStatistic,
@@ -85,6 +86,33 @@ class TestCharFunction:
         var = asymptotic_variance(pa, R2)
         assert lg.imag / k == pytest.approx(mu, rel=0.05)
         assert -2.0 * lg.real / k ** 2 == pytest.approx(var, rel=0.05)
+
+
+def _phase_average_oracle(pa, l, k):
+    """<exp(i k r^2)>_l in closed form: with s = r^2 the weight is a beta-prime
+    density s^{alpha-1} (1+s)^{-alpha-beta}, alpha = 2l+2L+2, beta = 2(n-l),
+    so the average is Gamma(alpha+beta)/Gamma(beta) U(alpha, 1-beta, -ik)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        alpha, beta = 2 * l + 2 * pa.L + 2, 2 * (pa.n - l)
+        return complex(mp.gamma(alpha + beta) / mp.gamma(beta)
+                       * mp.hyperu(alpha, 1 - beta, -1j * k))
+
+
+class TestRadialAverage:
+    @pytest.mark.parametrize("k", [2.0, 8.0])
+    def test_top_degree_matches_hyperu(self, k):
+        pa = EnsembleParams(N=60, n=120.0, L=60.0)
+        got = linstat._radial_average(pa, 59, lambda r: np.exp(1j * k * r * r))
+        want = _phase_average_oracle(pa, 59, k)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_unreliable_numerator_raises(self):
+        # near n = N the top degree's phase integrand oscillates into the
+        # endpoint t = 1: quad's estimate, not its value, flags it
+        with pytest.raises(QuadratureError):
+            char_function(EnsembleParams(N=5, n=5.5, L=0.0), R2, 8.0)
 
 
 class TestAsymptotics:
