@@ -4,17 +4,22 @@ Each kernel kappa is antisymmetric, and the damped combination
 K(z,w) = e^{-z^2-w^2} kappa(z,w) solves dK/dz = F(z,w) with K(w,w) = 0,
 where F is the matching inhomogeneity from the rescaled finite-N identity.
 ``ode_residual`` verifies exactly that, with a finite-difference dK/dz.
+The edge, weak and origin kernels use fixed Gauss rules on node arrays
+(``_gauss``); the origin's second route keeps adaptive ``quad``.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import IntegrationWarning, quad
-from scipy.special import rgamma
+from scipy.special import roots_jacobi
 
 from .cdi import limiting_f
 from .errors import BranchWarning, DomainError, QuadratureError
@@ -38,6 +43,7 @@ __all__ = [
 
 _SQRT_PI = math.sqrt(math.pi)
 _KINDS = ("strong_bulk", "strong_edge", "weak", "origin")
+_JACOBI_NODES, _LEGENDRE_NODES, _MAX_NODES = 16, 32, 1024  # Gauss rules: first n, cap
 
 
 @dataclass(frozen=True)
@@ -72,14 +78,14 @@ class LimitKernelSpec:
         return Origin(L=self.L, b=1.0)
 
 
-def f_profile(z: complex, u: float) -> complex:
-    """Half-erfc profile (1/2) erfc(sqrt(2)(z-u))."""
+def f_profile(z: complex, u):
+    """Half-erfc profile (1/2) erfc(sqrt(2)(z-u)), elementwise in an array u."""
     return 0.5 * erfc_c(math.sqrt(2.0) * (complex(z) - u))
 
 
-def f_profile_deriv(z: complex, u: float) -> complex:
-    """d/du of f_profile, in closed form: sqrt(2/pi) e^{-2(z-u)^2}."""
-    return math.sqrt(2.0 / math.pi) * cmath.exp(-2.0 * (complex(z) - u) ** 2)
+def f_profile_deriv(z: complex, u):
+    """d/du of f_profile, in closed form: sqrt(2/pi) e^{-2(z-u)^2}; u may be an array."""
+    return math.sqrt(2.0 / math.pi) * np.exp(-2.0 * (complex(z) - u) ** 2)
 
 
 def _cquad(f, lo: float, hi: float) -> complex:
@@ -93,6 +99,31 @@ def _cquad(f, lo: float, hi: float) -> complex:
     return re + 1j * im
 
 
+@functools.lru_cache(maxsize=64)
+def _rule(n: int, alpha: float):
+    """n-node Gauss rule on [0, 1] for the weight s^alpha: (nodes, weights)."""
+    x, wts = leggauss(n) if alpha == 0 else roots_jacobi(n, 0.0, alpha)
+    return (1.0 + x) / 2.0, wts * 2.0 ** (-alpha - 1.0)
+
+
+def _gauss(g, alpha: float, n: int, lo: float = 0.0, hi: float = 1.0) -> complex:
+    """integral over [lo, hi] of ((u-lo)/(hi-lo))^alpha g(u) du by Gauss rules.
+
+    g is called once per try, on the n- and 2n-node rules' nodes together.
+    The 2n-node sum is returned once it is within 1e-11 max(1, |I_2n|) of
+    the n-node one; else n doubles up to _MAX_NODES, then QuadratureError."""
+    while True:
+        (x1, w1), (x2, w2) = _rule(n, alpha), _rule(2 * n, alpha)
+        vals = (hi - lo) * g(lo + (hi - lo) * np.concatenate([x1, x2]))
+        i_2n = w2 @ vals[n:]
+        gap = abs(w1 @ vals[:n] - i_2n)
+        if gap <= 1e-11 * max(1.0, abs(i_2n)):
+            return complex(i_2n)
+        if 4 * n > _MAX_NODES:
+            raise QuadratureError(f"Gauss gap {gap:.3g} on [{lo}, {hi}] at {2 * n} nodes")
+        n *= 2
+
+
 def wronskian_integral(z: complex, w: complex, lo: float, hi: float) -> complex:
     """integral over [lo, hi] of W(f_w, f_z)(u) = f_w f_z' - f_z f_w'."""
     z, w = complex(z), complex(w)
@@ -100,7 +131,7 @@ def wronskian_integral(z: complex, w: complex, lo: float, hi: float) -> complex:
     def integrand(u):
         return f_profile(w, u) * f_profile_deriv(z, u) - f_profile(z, u) * f_profile_deriv(w, u)
 
-    return _cquad(integrand, lo, hi)
+    return _gauss(integrand, 0.0, _LEGENDRE_NODES, lo, hi)
 
 
 def _cutoff(z: complex, w: complex) -> float:
@@ -134,7 +165,7 @@ def kappa_weak(rho: float, z: complex, w: complex) -> complex:
 
 
 def kappa_origin(L: float, z: complex, w: complex) -> complex:
-    """Spectral-singularity kernel via the Mittag-Leffler quadrature."""
+    """Spectral-singularity kernel via the Mittag-Leffler quadrature, Gauss-Jacobi in s^{2L}."""
     if L < 0:
         raise DomainError(f"kappa_origin needs L >= 0, got {L}")
     z, w = complex(z), complex(w)
@@ -154,14 +185,10 @@ def kappa_origin(L: float, z: complex, w: complex) -> complex:
         pref = 2.0
 
     def integrand(s):
-        spow = s ** (2 * L) if L > 0 else 1.0
-        return (
-            spow
-            * (z * cmath.exp((1 - s * s) * z * z) - w * cmath.exp((1 - s * s) * w * w))
-            * mittag_leffler(2.0, 1.0 + 2 * L, (2.0 * s * zw) ** 2)
-        )
+        envelope = z * np.exp((1 - s * s) * z * z) - w * np.exp((1 - s * s) * w * w)
+        return envelope * mittag_leffler(2.0, 1.0 + 2 * L, (2.0 * s * zw) ** 2)
 
-    return pref * _cquad(integrand, 0.0, 1.0)
+    return pref * _gauss(integrand, 2 * L, _JACOBI_NODES)
 
 
 def kappa_origin_gamma_form(L: float, z: complex, w: complex) -> complex:

@@ -96,6 +96,21 @@ class TestKernel:
         assert rc == 0
         assert (tmp_path / "lim.csv").exists()
 
+    def test_weak_limit_table_through_former_quadrature_failure(self, tmp_path, monkeypatch):
+        # the 2x2 grid holds z = -0.1-1.75i, where adaptive quad on the weak
+        # kernel's Wronskian integral raised QuadratureError (exit 3)
+        monkeypatch.chdir(tmp_path)
+        rc = main([
+            "kernel", "--N", "1", "--limit", "weak", "--rho", "2",
+            "--grid=-1.75:-0.1:1.65", "--out", "weak",
+        ])
+        assert rc == 0
+        rows = [ln.split(",") for ln in (tmp_path / "weak.csv").read_text().splitlines()
+                if not ln.startswith("#")][1:]
+        assert len(rows) == 4
+        assert any(abs(complex(float(r[0]), float(r[1])) - (-0.1 - 1.75j)) < 1e-12 for r in rows)
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+
     def test_r1_table(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         rc = main([

@@ -1,11 +1,13 @@
 import cmath
+import functools
 import math
 
 import numpy as np
 import pytest
 from scipy.special import erfi
 
-from sphefaffian.errors import BranchWarning, DomainError, NumericalError
+from sphefaffian import limits
+from sphefaffian.errors import BranchWarning, DomainError, NumericalError, QuadratureError
 from sphefaffian.limits import (
     LimitKernelSpec,
     f_profile,
@@ -20,7 +22,7 @@ from sphefaffian.limits import (
     wronskian_integral,
 )
 from sphefaffian.pfaffian import pfaffian_intensity
-from sphefaffian.specfun import erfc_c
+from sphefaffian.specfun import erfc_c, mittag_leffler
 
 BULK = LimitKernelSpec("strong_bulk")
 EDGE = LimitKernelSpec("strong_edge")
@@ -61,6 +63,121 @@ def _pfaffian_by_expansion(a):
         minor = [[a[r][c] for c in rest] for r in rest]
         total += (-1) ** (j + 1) * a[0][j] * _pfaffian_by_expansion(minor)
     return total
+
+
+def _profile_mp(mpmath, x, u):
+    return mpmath.erfc(mpmath.sqrt(2) * (x - u)) / 2
+
+
+def _wronskian_mp(mpmath, z, w, lo, hi):
+    # the Wronskian integral at the working precision, split at the midpoint
+    c = mpmath.sqrt(2 / mpmath.pi)
+
+    def integrand(u):
+        return (_profile_mp(mpmath, w, u) * c * mpmath.exp(-2 * (z - u) ** 2)
+                - _profile_mp(mpmath, z, u) * c * mpmath.exp(-2 * (w - u) ** 2))
+
+    return mpmath.quad(integrand, [lo, (lo + hi) / 2, hi])
+
+
+def _kappa_mp(spec, z, w):
+    """The limit kernel's defining integral in 30-digit mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        zm, wm = mpmath.mpc(z), mpmath.mpc(w)
+        pref = mpmath.sqrt(mpmath.pi) * mpmath.exp(zm * zm + wm * wm)
+        if spec.kind == "strong_edge":
+            u0 = limits._cutoff(z, w)
+            return complex(pref * _wronskian_mp(mpmath, zm, wm, -u0, 0))
+        if spec.kind == "weak":
+            h = mpmath.mpf(spec.rho) / (2 * mpmath.sqrt(2))
+            f = functools.partial(_profile_mp, mpmath)
+            boundary = f(wm, h) * f(zm, -h) - f(zm, h) * f(wm, -h)
+            return complex(pref * (_wronskian_mp(mpmath, zm, wm, -h, h) + boundary))
+        two_l, x = 2 * mpmath.mpf(spec.L), 2 * zm * wm
+
+        def ml(y):  # E_{2,1+2L}(y), summed to the working precision
+            total, k = mpmath.mpf(0), 0
+            while True:
+                term = y ** k / mpmath.gamma(2 * k + 1 + two_l)
+                total += term
+                if k > 3 and abs(term) < mpmath.eps * abs(total):
+                    return total
+                k += 1
+
+        integral = mpmath.quad(lambda s: s ** two_l * (
+            zm * mpmath.exp((1 - s * s) * zm * zm) - wm * mpmath.exp((1 - s * s) * wm * wm)
+        ) * ml((s * x) ** 2), [0, 1])
+        return complex(2 * x ** two_l * integral)
+
+
+def _kappa_adaptive(spec, z, w):
+    """The limit kernel with the Gauss rules replaced by adaptive _cquad."""
+
+    def wronskian(lo, hi):
+        return limits._cquad(lambda u: f_profile(w, u) * f_profile_deriv(z, u)
+                             - f_profile(z, u) * f_profile_deriv(w, u), lo, hi)
+
+    pref = math.sqrt(math.pi) * cmath.exp(z * z + w * w)
+    if spec.kind == "strong_edge":
+        return pref * wronskian(-limits._cutoff(z, w), 0.0)
+    if spec.kind == "weak":
+        h = spec.rho / (2.0 * math.sqrt(2.0))
+        boundary = f_profile(w, h) * f_profile(z, -h) - f_profile(z, h) * f_profile(w, -h)
+        return pref * (wronskian(-h, h) + boundary)
+    two_l, x = 2 * spec.L, 2.0 * z * w
+    integral = limits._cquad(lambda s: s ** two_l * (
+        z * cmath.exp((1 - s * s) * z * z) - w * cmath.exp((1 - s * s) * w * w)
+    ) * mittag_leffler(2.0, 1.0 + two_l, (s * x) ** 2), 0.0, 1.0)
+    return 2.0 * x ** two_l * integral
+
+
+class TestGaussRules:
+    ORACLE_CASES = [
+        # the point where adaptive quad raised QuadratureError
+        (LimitKernelSpec("weak", rho=2.0), -0.1 - 1.75j, 0.1),
+        *[(spec, z, w)
+          for spec in (EDGE, LimitKernelSpec("weak", rho=0.5), LimitKernelSpec("weak", rho=8.0),
+                       *[LimitKernelSpec("origin", L=L) for L in (0.0, 0.5, 0.75, 2.5)])
+          for z, w in ((0.4 + 0.3j, -0.7 + 0.2j), (-1.3 - 0.5j, 0.6 + 1.1j))],
+    ]
+
+    @pytest.mark.parametrize("spec, z, w", ORACLE_CASES, ids=lambda v: (
+        f"{v.kind}-{v.L if v.rho is None else v.rho}" if isinstance(v, LimitKernelSpec) else None))
+    def test_against_30_digit_oracle(self, spec, z, w):
+        want = _kappa_mp(spec, z, w)
+        assert abs(kappa(spec, z, w) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("spec", [EDGE, LimitKernelSpec("weak", rho=2.0),
+                                      LimitKernelSpec("origin", L=0.5),
+                                      LimitKernelSpec("origin", L=2.0)],
+                             ids=lambda s: f"{s.kind}-{s.L if s.rho is None else s.rho}")
+    def test_against_adaptive_quadrature(self, spec):
+        rng = np.random.default_rng(19)
+        for _ in range(40):
+            z, w = rng.uniform(-2.0, 2.0, 2) + 1j * rng.uniform(-2.0, 2.0, 2)
+            want = _kappa_adaptive(spec, complex(z), complex(w))
+            assert abs(kappa(spec, z, w) - want) <= 1e-10 * max(1.0, abs(want)), (z, w)
+
+    def test_rules_integrate_their_weights(self):
+        assert limits._gauss(np.exp, 0.0, 16, -1.0, 2.0) == pytest.approx(
+            math.e ** 2 - 1 / math.e, rel=1e-14)
+        # weight s^1.5 on [0, 1]: the integral of s^1.5 * s is 1/3.5
+        assert limits._gauss(lambda s: s, 1.5, 16) == pytest.approx(1 / 3.5, rel=1e-14)
+
+    def test_gap_that_never_closes_raises(self, monkeypatch):
+        monkeypatch.setattr(limits, "_MAX_NODES", 64)
+        with pytest.raises(QuadratureError):
+            limits._gauss(lambda u: np.exp(400j * u), 0.0, 16)
+        # the same cap suffices where the rules agree
+        assert limits._gauss(np.cos, 0.0, 16) == pytest.approx(math.sin(1.0), rel=1e-14)
+
+    def test_profiles_accept_node_arrays(self):
+        u = np.linspace(-1.0, 1.0, 5)
+        z = 0.4 - 0.3j
+        np.testing.assert_allclose(f_profile(z, u), [f_profile(z, x) for x in u], rtol=1e-15)
+        np.testing.assert_allclose(f_profile_deriv(z, u), [f_profile_deriv(z, x) for x in u],
+                                   rtol=1e-15)
 
 
 class TestProfiles:

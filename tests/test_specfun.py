@@ -14,6 +14,7 @@ from sphefaffian.errors import ConvergenceError, DomainError
 from sphefaffian.specfun import (
     erf_c,
     erfc_c,
+    inc_gamma_entire_part,
     mittag_leffler,
     reg_inc_beta,
     reg_inc_gamma_p,
@@ -98,6 +99,27 @@ class TestErfc:
             assert abs(got - want) <= 1e-12 * abs(want), f"at z={z}"
 
 
+class TestArrays:
+    ZS = np.array([[0.0, 0.3 - 0.1j, -2.5 + 4.0j], [1.7 + 0.4j, -8.0, 30.0 - 60.0j]])
+
+    @pytest.mark.parametrize("fn", [erfc_c, erf_c, lambda z: mittag_leffler(2.0, 3.5, z)],
+                             ids=["erfc_c", "erf_c", "mittag_leffler"])
+    def test_array_call_equals_scalar_calls(self, fn):
+        got = fn(self.ZS)
+        assert got.shape == self.ZS.shape
+        want = [[fn(complex(z)) for z in row] for row in self.ZS]
+        assert all(type(v) is complex for row in want for v in row)
+        np.testing.assert_array_equal(got, np.array(want))
+
+    def test_mittag_leffler_elements_stop_on_their_own(self):
+        # a large element needing many chunks must not change a small one
+        zs = np.array([0.01, 400.0 + 300.0j])
+        got = mittag_leffler(2.0, 1.0, zs)
+        assert got[0] == mittag_leffler(2.0, 1.0, 0.01)
+        assert got[1] == mittag_leffler(2.0, 1.0, 400.0 + 300.0j)
+        assert mittag_leffler(2.0, 4.0, np.zeros(3)).tolist() == [1.0 / 6.0] * 3
+
+
 class TestMittagLeffler:
     @pytest.mark.parametrize("z", [0.5, 1 + 1j])
     def test_cosh_identity(self, z):
@@ -164,6 +186,30 @@ class TestIncGamma:
     def test_domain(self):
         with pytest.raises(DomainError):
             reg_inc_gamma_p(0.0, 1.0)
+
+    @pytest.mark.parametrize("c, z, tol", [
+        # the power series cancels here: 3.7e9, 8.8e12, 0.8, 7.6e-3, 5.2e-4, 2.6e2
+        (2.0, -60.0, 1e-13),
+        (0.5, -60.0, 1e-13),
+        (3.0, -40.0, 1e-13),
+        (1.5, -30.0 + 5.0j, 1e-13),
+        (2.0, -30.0 + 5.0j, 1e-13),
+        (0.0, -20.0, 1e-13),
+        # near the imaginary axis Kummer's series cancels too, but less
+        # than the power series (5.3e-6 and 1.3e-3 there)
+        (0.5, -3.0 + 20.0j, 1e-9),
+        (2.0, -5.0 + 30.0j, 1e-5),
+    ])
+    def test_entire_part_against_mpmath(self, c, z, tol):
+        # E_c(z) = 1F1(1; c+1; z) / Gamma(c+1), at 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            want = complex(mpmath.hyp1f1(1, c + 1, z) / mpmath.gamma(c + 1))
+        assert abs(inc_gamma_entire_part(c, z) - want) <= tol * abs(want)
+
+    def test_entire_part_overflow_is_typed(self):
+        with pytest.raises(ConvergenceError):
+            inc_gamma_entire_part(2.0, -800.0)
 
 
 class TestIncBeta:
