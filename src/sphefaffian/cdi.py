@@ -179,7 +179,7 @@ def _unscale(scale: complex, mantissa: complex, shift: complex = 0.0) -> complex
     try:
         return cmath.exp(x)
     except OverflowError:
-        raise DoubleRangeError(f"CDI term exp({x.real:.1f}) exceeds double range") from None
+        raise DoubleRangeError(f"value exp({x.real:.1f}) exceeds double range") from None
 
 
 def cdi_rhs(params: EnsembleParams, zeta: complex, eta: complex) -> CdiTerms:

@@ -5,27 +5,24 @@ K(z,w) = e^{-z^2-w^2} kappa(z,w) solves dK/dz = F(z,w) with K(w,w) = 0,
 where F is the matching inhomogeneity from the rescaled finite-N identity.
 ``ode_residual`` verifies exactly that, with a finite-difference dK/dz.
 The edge, weak and origin kernels use fixed Gauss rules on node arrays
-(``_gauss``); the origin's second route keeps adaptive ``quad``.
+(``specfun._gauss``); the origin's second route keeps adaptive ``quad``.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.integrate import IntegrationWarning, quad
-from scipy.special import roots_jacobi
 
-from .cdi import limiting_f
+from .cdi import _unscale, limiting_f
 from .errors import BranchWarning, DomainError, QuadratureError
 from .params import Origin, RegimeSpec, Strong, Weak
 from .pfaffian import pfaffian_intensity
-from .specfun import erf_c, erfc_c, mittag_leffler, reg_inc_gamma_p
+from .specfun import _JACOBI_NODES, _gauss, erf_c, erfc_c, mittag_leffler, reg_inc_gamma_p
 
 __all__ = [
     "LimitKernelSpec",
@@ -43,7 +40,7 @@ __all__ = [
 
 _SQRT_PI = math.sqrt(math.pi)
 _KINDS = ("strong_bulk", "strong_edge", "weak", "origin")
-_JACOBI_NODES, _LEGENDRE_NODES, _MAX_NODES = 16, 32, 1024  # Gauss rules: first n, cap
+_LEGENDRE_NODES = 32  # first n of the Wronskian's Gauss-Legendre rules
 
 
 @dataclass(frozen=True)
@@ -99,31 +96,6 @@ def _cquad(f, lo: float, hi: float) -> complex:
     return re + 1j * im
 
 
-@functools.lru_cache(maxsize=64)
-def _rule(n: int, alpha: float):
-    """n-node Gauss rule on [0, 1] for the weight s^alpha: (nodes, weights)."""
-    x, wts = leggauss(n) if alpha == 0 else roots_jacobi(n, 0.0, alpha)
-    return (1.0 + x) / 2.0, wts * 2.0 ** (-alpha - 1.0)
-
-
-def _gauss(g, alpha: float, n: int, lo: float = 0.0, hi: float = 1.0) -> complex:
-    """integral over [lo, hi] of ((u-lo)/(hi-lo))^alpha g(u) du by Gauss rules.
-
-    g is called once per try, on the n- and 2n-node rules' nodes together.
-    The 2n-node sum is returned once it is within 1e-11 max(1, |I_2n|) of
-    the n-node one; else n doubles up to _MAX_NODES, then QuadratureError."""
-    while True:
-        (x1, w1), (x2, w2) = _rule(n, alpha), _rule(2 * n, alpha)
-        vals = (hi - lo) * g(lo + (hi - lo) * np.concatenate([x1, x2]))
-        i_2n = w2 @ vals[n:]
-        gap = abs(w1 @ vals[:n] - i_2n)
-        if gap <= 1e-11 * max(1.0, abs(i_2n)):
-            return complex(i_2n)
-        if 4 * n > _MAX_NODES:
-            raise QuadratureError(f"Gauss gap {gap:.3g} on [{lo}, {hi}] at {2 * n} nodes")
-        n *= 2
-
-
 def wronskian_integral(z: complex, w: complex, lo: float, hi: float) -> complex:
     """integral over [lo, hi] of W(f_w, f_z)(u) = f_w f_z' - f_z f_w'."""
     z, w = complex(z), complex(w)
@@ -131,7 +103,7 @@ def wronskian_integral(z: complex, w: complex, lo: float, hi: float) -> complex:
     def integrand(u):
         return f_profile(w, u) * f_profile_deriv(z, u) - f_profile(z, u) * f_profile_deriv(w, u)
 
-    return _gauss(integrand, 0.0, _LEGENDRE_NODES, lo, hi)
+    return _gauss(integrand, 0.0, 0.0, _LEGENDRE_NODES, lo, hi)
 
 
 def _cutoff(z: complex, w: complex) -> float:
@@ -180,15 +152,15 @@ def kappa_origin(L: float, z: complex, w: complex) -> complex:
                 BranchWarning,
                 stacklevel=2,
             )
-        pref = 2.0 * cmath.exp(2.0 * L * cmath.log(2.0 * zw))
-    else:
-        pref = 2.0
+    log_pref = 2.0 * L * cmath.log(2.0 * zw) if L > 0 else 0.0
 
     def integrand(s):
         envelope = z * np.exp((1 - s * s) * z * z) - w * np.exp((1 - s * s) * w * w)
-        return envelope * mittag_leffler(2.0, 1.0 + 2 * L, (2.0 * s * zw) ** 2)
+        # / (2L+1), the mass of s^{2L}: _gauss averages over the weight
+        return envelope * mittag_leffler(2.0, 1.0 + 2 * L, (2.0 * s * zw) ** 2) / (1.0 + 2 * L)
 
-    return pref * _gauss(integrand, 2 * L, _JACOBI_NODES)
+    # (2zw)^{2L} meets the integral in one exp: DoubleRangeError only off double range
+    return 2.0 * _unscale(log_pref, _gauss(integrand, 2 * L, 0.0, _JACOBI_NODES))
 
 
 def kappa_origin_gamma_form(L: float, z: complex, w: complex) -> complex:

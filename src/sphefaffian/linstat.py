@@ -3,10 +3,11 @@ asymptotic mean/variance, Monte Carlo estimates and the Laplace saddle.
 
 The radial weight factorizes the statistic into N independent radial
 components, so the characteristic function is the product of per-degree
-phase averages u_l(b)/u_l.  All radial integrals are evaluated after the
-substitution t = r^2/(1+r^2), which maps them to beta-type integrands on
-[0,1] with no tails; each integrand is rescaled by its interior maximum,
-so ratios stay well-conditioned for n+L in the hundreds.
+phase averages u_l(b)/u_l.  The substitution t = r^2/(1+r^2) maps each
+radial weight to the Jacobi weight t^{2l+2L+1} (1-t)^{2(n-l)-1} on [0,1],
+so each average is one Gauss-Jacobi mean (``specfun._gauss``) whose
+weights sum to 1: no moment u_l is formed, and none leaves double range
+for n+L in the hundreds.  Only the macroscopic moments use adaptive quad.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from scipy.integrate import quad
 from .errors import DegenerateSaddleWarning, DomainError, QuadratureError
 from .params import EnsembleParams, droplet
 from .sampler import SampleBatch
+from .specfun import _JACOBI_NODES, _gauss
 
 __all__ = [
     "RadialStatistic",
@@ -37,7 +39,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RadialStatistic:
-    """A radial test function b with derivative, e.g. b(r) = r^2."""
+    """A radial test function b with derivative, e.g. b(r) = r^2.
+
+    b and b_prime map an ndarray of radii elementwise."""
 
     b: callable
     b_prime: callable
@@ -49,46 +53,22 @@ class RadialStatistic:
 
     @staticmethod
     def constant(c: float) -> "RadialStatistic":
-        return RadialStatistic(b=lambda r: c, b_prime=lambda r: 0.0, label=f"const:{c}")
+        return RadialStatistic(b=lambda r: np.full_like(r, c, dtype=float),
+                               b_prime=np.zeros_like, label=f"const:{c}")
 
     @staticmethod
     def radius() -> "RadialStatistic":
-        return RadialStatistic(b=lambda r: r, b_prime=lambda r: 1.0, label="r")
+        return RadialStatistic(b=lambda r: r, b_prime=np.ones_like, label="r")
 
 
 def _radial_average(params: EnsembleParams, l: int, func) -> complex:
     """<func(r)>_l under the weight r^{4l+4L+3} (1+r^2)^{-2(n+L+1)} dr.
 
-    In t = r^2/(1+r^2) the weight becomes t^{2l+2L+1} (1-t)^{2(n-l)-1}/2,
-    a beta integrand on [0,1], rescaled by exp(-logmax) in numerator and
-    denominator alike; a quad error estimate above 1e-8 den raises.
-    """
-    n, L = params.n, params.L
-    a_exp = 2 * l + 2 * L + 1.0
-    b_exp = 2 * (n - l) - 1.0
-    if b_exp <= -1.0 or a_exp <= -1.0:
-        raise DomainError(f"radial moment not integrable at l={l} for {params}")
-    t_star = a_exp / (a_exp + b_exp) if a_exp + b_exp > 0 else 0.5
-    t_star = min(max(t_star, 1e-12), 1 - 1e-12)
-    log_max = a_exp * math.log(t_star) + b_exp * math.log1p(-t_star)
-
-    def weight(t):
-        return math.exp(a_exp * math.log(t) + b_exp * math.log1p(-t) - log_max)
-
-    def r_of(t):
-        return math.sqrt(t / (1.0 - t))
-
-    def integral(f):
-        return quad(f, 0.0, 1.0, points=[t_star], epsabs=1e-14, epsrel=1e-12, limit=200)
-
-    den, den_err = integral(weight)
-    if den <= 0 or den_err > 1e-8 * den:
-        raise QuadratureError(f"denominator quadrature unreliable at l={l}")
-    re, re_err = integral(lambda t: weight(t) * func(r_of(t)).real)
-    im, im_err = integral(lambda t: weight(t) * func(r_of(t)).imag)
-    if max(re_err, im_err) > 1e-8 * den:
-        raise QuadratureError(f"numerator quadrature unreliable at l={l}")
-    return complex(re, im) / den
+    In t = r^2/(1+r^2) the weight is t^{2l+2L+1} (1-t)^{2(n-l)-1}/2 on [0,1]
+    (n > N keeps 2(n-l)-1 > 1): one Gauss-Jacobi mean, func called on the node
+    array r = sqrt(t/(1-t)); QuadratureError if the rules never agree."""
+    a_exp, b_exp = 2 * l + 2 * params.L + 1.0, 2 * (params.n - l) - 1.0
+    return _gauss(lambda t: func(np.sqrt(t / (1.0 - t))), a_exp, b_exp, _JACOBI_NODES)
 
 
 def char_function(params: EnsembleParams, stat: RadialStatistic, k_fourier: float) -> complex:
@@ -107,34 +87,32 @@ def char_function(params: EnsembleParams, stat: RadialStatistic, k_fourier: floa
 
 def exact_mean(params: EnsembleParams, stat: RadialStatistic) -> float:
     """Finite-N mean of B through the independent radial components."""
-    return float(
-        sum(
-            _radial_average(params, l, lambda r: complex(stat.b(r))).real
-            for l in range(params.N)
-        )
-    )
+    return float(sum(_radial_average(params, l, stat.b).real for l in range(params.N)))
 
 
 def exact_variance(params: EnsembleParams, stat: RadialStatistic) -> float:
     """Finite-N variance of B through the independent radial components."""
     total = 0.0
     for l in range(params.N):
-        m1 = _radial_average(params, l, lambda r: complex(stat.b(r))).real
-        m2 = _radial_average(params, l, lambda r: complex(stat.b(r) ** 2)).real
+        m1 = _radial_average(params, l, stat.b).real
+        m2 = _radial_average(params, l, lambda r: stat.b(r) ** 2).real
         total += m2 - m1 * m1
     return total
 
 
+def _droplet_integral(params: EnsembleParams, f, what: str) -> float:
+    """int_{r1}^{r2} f(r) dr over the droplet's radii by adaptive quad."""
+    geo = droplet(params)
+    val, err = quad(f, geo.r1, geo.r2, epsabs=1e-13, epsrel=1e-12, limit=200)
+    if err > 1e-8 * max(abs(val), 1e-30):
+        raise QuadratureError(f"asymptotic {what} quadrature unreliable")
+    return val
+
+
 def asymptotic_mean(params: EnsembleParams, stat: RadialStatistic) -> float:
     """Macroscopic mean (n+L) * 2 int_{r1}^{r2} b(r) r (1+r^2)^{-2} dr."""
-    geo = droplet(params)
-    val, err = quad(
-        lambda r: stat.b(r) * r / (1.0 + r * r) ** 2, geo.r1, geo.r2,
-        epsabs=1e-13, epsrel=1e-12, limit=200,
-    )
-    if err > 1e-8 * max(abs(val), 1e-30):
-        raise QuadratureError("asymptotic mean quadrature unreliable")
-    return 2.0 * params.nl * val
+    mean = _droplet_integral(params, lambda r: stat.b(r) * r / (1.0 + r * r) ** 2, "mean")
+    return 2.0 * params.nl * mean
 
 
 def asymptotic_variance(
@@ -146,18 +124,12 @@ def asymptotic_variance(
     method='surface': (1/8) int_S |grad b|^2 dA evaluated as a genuine 2D
     quadrature; equals the radial form and serves as its cross-check.
     """
-    geo = droplet(params)
     if method == "radial":
-        val, err = quad(
-            lambda r: r * stat.b_prime(r) ** 2, geo.r1, geo.r2,
-            epsabs=1e-13, epsrel=1e-12, limit=200,
-        )
-        if err > 1e-8 * max(abs(val), 1e-30):
-            raise QuadratureError("asymptotic variance quadrature unreliable")
-        return 0.25 * val
+        return 0.25 * _droplet_integral(params, lambda r: r * stat.b_prime(r) ** 2, "variance")
     if method == "surface":
         from scipy.integrate import dblquad
 
+        geo = droplet(params)
         val, err = dblquad(
             lambda theta, r: r * stat.b_prime(r) ** 2 / math.pi,
             geo.r1, geo.r2, 0.0, 2.0 * math.pi,
@@ -186,11 +158,7 @@ def mc_linear_statistic(batch: SampleBatch, stat: RadialStatistic) -> LinStatSum
     """
     if batch.trials < 1:
         raise DomainError("empty batch")
-    # b is a scalar map; do not assume it broadcasts over arrays
-    samples = np.array(
-        [sum(stat.b(float(r)) for r in np.abs(trial)) for trial in batch.eigen_pairs],
-        dtype=float,
-    )
+    samples = np.array([stat.b(np.abs(trial)).sum() for trial in batch.eigen_pairs], dtype=float)
     mean = float(np.mean(samples))
     if batch.trials > 1:
         var = float(np.var(samples, ddof=1))

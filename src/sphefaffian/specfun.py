@@ -14,17 +14,22 @@ Everything here is complex/real double precision; the first three take arrays:
 The series stop after three consecutive terms below ``_REL_TOL`` (1e-13)
 of the running sum and raise ConvergenceError after ``_MAX_TERMS`` (10**6)
 terms.  Both are module constants, read at each call.
+``_gauss`` integrates against s^alpha (1-s)^beta by Gauss rules of
+``_JACOBI_NODES`` (16) nodes and up, doubling to at most ``_MAX_NODES`` (1024).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import erf as _erf, erfc as _erfc, gammaln, rgamma
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, DoubleRangeError, QuadratureError
 
 __all__ = [
     "erfc_c",
@@ -38,6 +43,7 @@ __all__ = [
 
 _REL_TOL = 1e-13
 _MAX_TERMS = 10**6
+_JACOBI_NODES, _MAX_NODES = 16, 1024  # Gauss rules: first n, cap
 
 
 # -- complex error function -------------------------------------------------
@@ -61,6 +67,8 @@ def mittag_leffler(a: float, b: float, z):
     overflows intermediate powers.  An array z is summed in chunks of 16
     terms for all its elements at once; each element stops after its own 3
     consecutive |term| < _REL_TOL * |sum|, so it equals the scalar call.
+    An element still summing to exactly 0 once k Re log z - lgamma(ak+b) is
+    below -745 and falling (concave in k: every later term is 0) raises DoubleRangeError.
     """
     if not a > 0:
         raise DomainError(f"mittag_leffler needs a > 0, got a={a}")
@@ -90,6 +98,11 @@ def mittag_leffler(a: float, b: float, z):
         out[live[done]] = sums[done, (run[done] >= 3).argmax(axis=1)]
         live, logz = live[~done], logz[~done]
         total, streak = sums[~done, -1], run[~done, -1]
+        if not total.all() and a * ks[-1] + b > 0:  # some sum is still exactly 0
+            k, re_logz = ks[-1], logz.real[total == 0, 0]
+            lt = k * re_logz - gammaln(a * k + b)
+            if ((lt < -745.0) & ((k + 1) * re_logz - gammaln(a * k + a + b) < lt)).any():
+                raise DoubleRangeError(f"mittag_leffler(a={a}, b={b}) lies outside double range")
     if live.size:
         raise ConvergenceError(f"mittag_leffler(a={a}, b={b}) needs over {_MAX_TERMS} terms")
     return out.reshape(zs.shape) if zs.ndim else complex(out[0])
@@ -215,3 +228,49 @@ def _hyp2f1_unit_series(beta: float, gamma_: float, u: complex) -> complex:
         else:
             small_streak = 0
     raise ConvergenceError("reg_inc_beta hypergeometric series stalled")
+
+
+# -- Gauss rules ------------------------------------------------------------
+
+@functools.lru_cache(maxsize=512)  # one char_function call at N=200 uses 400 rules
+def _rule(n: int, alpha: float, beta: float):
+    """n-node Gauss rule on [0, 1] for the weight s^alpha (1-s)^beta: (nodes, weights).
+
+    Legendre at alpha = beta = 0, else the Jacobi matrix's eigenvalues with
+    weights 1/sum_k p_k(x)^2 over the orthonormal polynomials, that sum rescaled
+    to 1 at each k: weights summing to 1, finite at any exponents."""
+    if alpha == 0 and beta == 0:
+        x, wts = leggauss(n)
+        return (1.0 + x) / 2.0, wts / 2.0
+    # x p_k = b_k p_{k+1} + a_k p_k + b_{k-1} p_{k-1} for (1-x)^beta (1+x)^alpha on [-1, 1]
+    m = 2 * np.arange(n) + alpha + beta
+    a = (alpha * alpha - beta * beta) / (m * (m + 2))
+    k, m = np.arange(1.0, n), m[1:]
+    b = 2 / m * np.sqrt(k * (k + alpha) * (k + beta) * (m - k) / (m * m - 1))
+    x = eigvalsh_tridiagonal(a, b)
+    p_prev, p, log_w = np.zeros(n), np.ones(n), np.zeros(n)  # p_{-1} = 0, p_0 = 1
+    for j in range(n - 1):
+        p_prev, p = p, ((x - a[j]) * p - b[j - 1] * p_prev) / b[j]
+        c = np.sqrt(1.0 + p * p)
+        p_prev, p, log_w = p_prev / c, p / c, log_w - 2.0 * np.log(c)
+    wts = np.exp(log_w - log_w.max())
+    return (1.0 + x) / 2.0, wts / wts.sum()
+
+
+def _gauss(g, alpha: float, beta: float, n: int, lo: float = 0.0, hi: float = 1.0) -> complex:
+    """(hi - lo) times the mean of g(u) over [lo, hi] under the weight s^alpha (1-s)^beta,
+    s = (u - lo)/(hi - lo): the integral of g itself when alpha = beta = 0.
+
+    g is called once per try, on the n- and 2n-node rules' nodes together.
+    The 2n-node sum is returned once it is within 1e-11 max(1, |I_2n|) of
+    the n-node one; else n doubles up to _MAX_NODES, then QuadratureError."""
+    while True:
+        (x1, w1), (x2, w2) = _rule(n, alpha, beta), _rule(2 * n, alpha, beta)
+        vals = (hi - lo) * g(lo + (hi - lo) * np.concatenate([x1, x2]))
+        i_2n = w2 @ vals[n:]
+        gap = abs(w1 @ vals[:n] - i_2n)
+        if gap <= 1e-11 * max(1.0, abs(i_2n)):
+            return complex(i_2n)
+        if 4 * n > _MAX_NODES:
+            raise QuadratureError(f"Gauss gap {gap:.3g} on [{lo}, {hi}] at {2 * n} nodes")
+        n *= 2

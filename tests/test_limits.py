@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 from scipy.special import erfi
 
-from sphefaffian import limits
-from sphefaffian.errors import BranchWarning, DomainError, NumericalError, QuadratureError
+from sphefaffian import limits, specfun
+from sphefaffian.errors import (
+    BranchWarning,
+    DomainError,
+    DoubleRangeError,
+    NumericalError,
+    QuadratureError,
+)
 from sphefaffian.limits import (
     LimitKernelSpec,
     f_profile,
@@ -160,17 +166,29 @@ class TestGaussRules:
             assert abs(kappa(spec, z, w) - want) <= 1e-10 * max(1.0, abs(want)), (z, w)
 
     def test_rules_integrate_their_weights(self):
-        assert limits._gauss(np.exp, 0.0, 16, -1.0, 2.0) == pytest.approx(
+        assert specfun._gauss(np.exp, 0.0, 0.0, 16, -1.0, 2.0) == pytest.approx(
             math.e ** 2 - 1 / math.e, rel=1e-14)
-        # weight s^1.5 on [0, 1]: the integral of s^1.5 * s is 1/3.5
-        assert limits._gauss(lambda s: s, 1.5, 16) == pytest.approx(1 / 3.5, rel=1e-14)
+        # weight s^1.5 on [0, 1], of mass 1/2.5: the integral of s^1.5 * s is 1/3.5
+        assert specfun._gauss(lambda s: s / 2.5, 1.5, 0.0, 16) == pytest.approx(
+            1 / 3.5, rel=1e-14)
+
+    @pytest.mark.parametrize("alpha, beta", [(799.0, 799.0), (1.0, 2399.0), (0.0, 1599.0)])
+    def test_weights_stay_in_range_at_large_exponents(self, alpha, beta):
+        # the weight's mass over- or underflows double range at these exponents
+        for n in (64, 1024):
+            x, wts = specfun._rule(n, alpha, beta)
+            assert np.isfinite(x).all() and np.isfinite(wts).all()
+            assert wts.sum() == pytest.approx(1.0, rel=1e-14)
+        # the mean of s under s^alpha (1-s)^beta is (alpha+1)/(alpha+beta+2)
+        assert specfun._gauss(lambda s: s, alpha, beta, 16) == pytest.approx(
+            (alpha + 1) / (alpha + beta + 2), rel=1e-14)
 
     def test_gap_that_never_closes_raises(self, monkeypatch):
-        monkeypatch.setattr(limits, "_MAX_NODES", 64)
+        monkeypatch.setattr(specfun, "_MAX_NODES", 64)
         with pytest.raises(QuadratureError):
-            limits._gauss(lambda u: np.exp(400j * u), 0.0, 16)
+            specfun._gauss(lambda u: np.exp(400j * u), 0.0, 0.0, 16)
         # the same cap suffices where the rules agree
-        assert limits._gauss(np.cos, 0.0, 16) == pytest.approx(math.sin(1.0), rel=1e-14)
+        assert specfun._gauss(np.cos, 0.0, 0.0, 16) == pytest.approx(math.sin(1.0), rel=1e-14)
 
     def test_profiles_accept_node_arrays(self):
         u = np.linspace(-1.0, 1.0, 5)
@@ -270,6 +288,15 @@ class TestOrigin:
     def test_branch_warning_on_negative_axis(self):
         with pytest.warns(BranchWarning):
             kappa_origin(0.75, 1.0, -1.0)
+
+    @pytest.mark.parametrize("L, z, w", [
+        (50.0, 25.0, 24.0),  # (2zw)^{2L} overflows, the integral does not underflow
+        (400.0, 1.5 + 1j, -1 + 0.5j),  # both leave double range
+        (200.0, 0.5 + 0.3j, 0.2 - 0.4j),  # every Mittag-Leffler term underflows to 0
+    ])
+    def test_kernel_outside_double_range_is_typed(self, L, z, w):
+        with pytest.raises(DoubleRangeError):
+            kappa_origin(L, z, w)
 
 
 class TestOde:

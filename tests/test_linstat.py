@@ -110,9 +110,24 @@ class TestRadialAverage:
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_unreliable_numerator_raises(self):
         # near n = N the top degree's phase integrand oscillates into the
-        # endpoint t = 1: quad's estimate, not its value, flags it
+        # endpoint t = 1: the gap between the two largest Gauss rules flags it
         with pytest.raises(QuadratureError):
             char_function(EnsembleParams(N=5, n=5.5, L=0.0), R2, 8.0)
+
+
+class TestExactMoments:
+    # r^2 = s has a beta-prime law, s^{alpha-1} (1+s)^{-alpha-beta} at degree l with
+    # alpha = 2l+2L+2, beta = 2(n-l): mean alpha/(beta-1), second moment
+    # alpha(alpha+1)/((beta-1)(beta-2))
+    @pytest.mark.parametrize("N, n, L", [(5, 11.0, 1.0), (60, 120.0, 60.0), (200, 400.0, 200.0)])
+    def test_r2_moments_closed_form(self, N, n, L):
+        pa = EnsembleParams(N=N, n=n, L=L)
+        alpha = 2.0 * np.arange(N) + 2 * L + 2
+        beta = 2.0 * (n - np.arange(N))
+        m1 = alpha / (beta - 1)
+        m2 = alpha * (alpha + 1) / ((beta - 1) * (beta - 2))
+        assert exact_mean(pa, R2) == pytest.approx(m1.sum(), rel=1e-12)
+        assert exact_variance(pa, R2) == pytest.approx((m2 - m1 * m1).sum(), rel=1e-12)
 
 
 class TestAsymptotics:
@@ -163,6 +178,13 @@ class TestAsymptotics:
 
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize("stat", [R2, ONE, RadialStatistic.radius()],
+                             ids=lambda s: s.label)
+    def test_statistics_map_arrays_elementwise(self, stat):
+        r = np.array([0.0, 0.5, 2.0])
+        for f in (stat.b, stat.b_prime):
+            np.testing.assert_array_equal(f(r), [f(x) for x in r])
+
     def test_unit_statistic_deterministic(self):
         pa = EnsembleParams(N=7, n=14.0, L=7.0)
         batch = sample_ensemble(pa, trials=10, seed=1)

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from sphefaffian import specfun
-from sphefaffian.errors import ConvergenceError, DomainError
+from sphefaffian.errors import ConvergenceError, DomainError, DoubleRangeError
 from sphefaffian.specfun import (
     erf_c,
     erfc_c,
@@ -154,6 +154,13 @@ class TestMittagLeffler:
     def test_domain(self):
         with pytest.raises(DomainError):
             mittag_leffler(0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("z", [0.1, np.array([0.3, 0.1 - 0.2j, 1e-3])])
+    def test_sum_stuck_at_zero_is_outside_double_range(self, z):
+        # 1/Gamma(401) and every later term underflow to 0: the series would
+        # run all _MAX_TERMS terms without meeting its stopping rule
+        with mock.patch.object(specfun, "_MAX_TERMS", 10**3), pytest.raises(DoubleRangeError):
+            mittag_leffler(2.0, 401.0, z)
 
 
 class TestIncGamma:
