@@ -41,7 +41,7 @@ from .specfun import (
     reg_inc_beta,
     reg_inc_gamma_p,
 )
-from .pfaffian import SkewMatrix, pfaffian
+from .pfaffian import pfaffian
 from .finitekernel import (
     SkewOPSystem,
     correlation_rk,

@@ -12,13 +12,13 @@ binomial-type sums in q = eta^2/(1+eta^2).  Each sum also equals a
 difference of two regularised incomplete beta values, which is the form
 whose large-N asymptotics produce the limiting kernels.
 
-Large n+L puts single terms far outside double range, so the sums are
-carried in finitekernel's (scale, mantissa) convention: a value is
-exp(scale) * mantissa with a complex scale, a zero mantissa marking a
-vanishing factor.  Each term is exponentiated once, after its weight, and
-one still beyond double range raises DoubleRangeError (a NumericalError);
-cdi_residual compares its two sides at their common scale, so it never
-overflows.
+Large n+L puts single terms far outside double range, so the sums and the
+incomplete betas are carried in specfun's (scale, mantissa) convention: a
+value is exp(scale) * mantissa with a complex scale, a zero mantissa
+marking a vanishing factor.  Each term is exponentiated once, after its
+weight, and one still beyond double range raises DoubleRangeError (a
+NumericalError); cdi_residual compares its two sides at their common
+scale, so it never overflows.
 """
 
 from __future__ import annotations
@@ -30,23 +30,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, rgamma
 
-from .errors import DomainError, DoubleRangeError, PoleError
-from .finitekernel import (
-    _common_scale,
-    _kernel_dzeta_scaled,
-    _log,
-    _power_sum,
-    _relative_gap,
-    _zoom,
-)
+from .errors import DomainError, PoleError
+from .finitekernel import _kernel_dzeta_scaled, _log, _power_sum, _zoom
 from .params import EnsembleParams, Origin, RegimeSpec, Strong, Weak
-from .specfun import erfc_c, inc_gamma_entire_part, reg_inc_beta
+from .specfun import (
+    _common_scale,
+    _relative_gap,
+    _unscale,
+    erfc_c,
+    inc_gamma_entire_part,
+    reg_inc_beta,
+)
 
 __all__ = [
-    "CdiFractions",
     "CdiTerms",
     "RescaledCdiTerms",
-    "cdi_fractions",
     "cdi_rhs",
     "cdi_rhs_beta_form",
     "cdi_derivative",
@@ -57,14 +55,6 @@ __all__ = [
 ]
 
 _LOG_PI = math.log(math.pi)
-
-
-@dataclass(frozen=True)
-class CdiFractions:
-    """The two Moebius fractions entering the CDI sums."""
-
-    p_frak: complex
-    q_frak: complex
 
 
 @dataclass(frozen=True)
@@ -96,15 +86,6 @@ class RescaledCdiTerms:
         return self.i1 * self.i2 - self.ii1 * self.ii2 - self.iii1 * self.iii2
 
 
-def cdi_fractions(zeta: complex, eta: complex) -> CdiFractions:
-    zeta, eta = complex(zeta), complex(eta)
-    if 1.0 + zeta * eta == 0 or 1.0 + eta * eta == 0:
-        raise PoleError("CDI fractions undefined at zeta*eta = -1 or eta^2 = -1")
-    return CdiFractions(
-        p_frak=zeta * eta / (1.0 + zeta * eta), q_frak=eta * eta / (1.0 + eta * eta)
-    )
-
-
 def _power(lc: float, e: float, lz):
     """exp(lc) zeta^e as (scale, mantissa), with lz = log zeta or None at zeta = 0."""
     if lz is not None:
@@ -119,7 +100,8 @@ def _log_prefactors(params: EnsembleParams, zeta: complex, eta: complex):
     (2n+2L+1)(n+L), and zeta^{2N+2L} and zeta^{2L-1} times gamma ratios,
     1/Gamma(L) making III vanish at L = 0."""
     n, L, N, nl = params.n, params.L, params.N, params.nl
-    cdi_fractions(zeta, eta)  # the one pole check: zeta*eta = -1 or eta = +-i
+    if 1.0 + zeta * eta == 0 or 1.0 + eta * eta == 0:
+        raise PoleError("CDI sums have a pole at zeta*eta = -1 or eta = +-i")
     lz = _log(zeta)
     lc = _LOG_PI + gammaln(2 * nl + 2) - 2 * nl * math.log(2.0) - gammaln(nl + 0.5)
     return (
@@ -167,21 +149,6 @@ def _derivative_weight(params: EnsembleParams, zeta: complex) -> complex:
     return -(params.nl + 0.5) * cmath.log(oz)
 
 
-def _unscale(scale: complex, mantissa: complex, shift: complex = 0.0) -> complex:
-    """exp(shift + scale) * mantissa in one exp, log(mantissa) folded in: a value
-    in double range neither overflows on the way nor rounds twice if subnormal."""
-    if mantissa == 0:
-        return 0.0 + 0.0j
-    x = shift + scale + cmath.log(mantissa)
-    if x.real < -708.0:  # subnormal: cmath.exp would round modulus, then phase
-        v = cmath.exp(x + 64 * math.log(2.0))
-        return complex(math.ldexp(v.real, -64), math.ldexp(v.imag, -64))
-    try:
-        return cmath.exp(x)
-    except OverflowError:
-        raise DoubleRangeError(f"value exp({x.real:.1f}) exceeds double range") from None
-
-
 def cdi_rhs(params: EnsembleParams, zeta: complex, eta: complex) -> CdiTerms:
     """The three CDI terms by their direct finite sums (log-domain assembly).
 
@@ -198,30 +165,33 @@ def cdi_rhs(params: EnsembleParams, zeta: complex, eta: complex) -> CdiTerms:
 def cdi_rhs_beta_form(params: EnsembleParams, zeta: complex, eta: complex) -> CdiTerms:
     """Same three terms with each sum replaced by its incomplete-beta form.
 
-    I-sum  = I_p(2L, 2n)      - I_p(2N+2L, 2n-2N)
-    II-sum = I_q(L, n+1/2)    - I_q(N+L, n-N+1/2)
+    I-sum  = I_p(2L, 2n)      - I_p(2N+2L, 2n-2N),   p = zeta eta / (1 + zeta eta)
+    II-sum = I_q(L, n+1/2)    - I_q(N+L, n-N+1/2),   q = eta^2 / (1 + eta^2)
     III-sum= I_q(L+1/2, n)    - I_q(N+L+1/2, n-N)
-    with the a = 0 degenerate case I_x(0, b) = 1 (x != 0).
+    with the a = 0 degenerate case I_x(0, b) = 1 (x != 0).  The two betas
+    of a sum meet at their common scale, and each term is exponentiated
+    once, so a term in double range is finite however small its betas.
     """
     zeta, eta = complex(zeta), complex(eta)
     n, L, N, nl = params.n, params.L, params.N, params.nl
-    fr = cdi_fractions(zeta, eta)
     (l1, c1), (l2, c2), (l3, c3) = _log_prefactors(params, zeta, eta)
     # the q-sums carry the weight (1-q)^{n+L-1/2} themselves; the p-sum
     # needs it and (1+zeta*eta)^{2n+2L-1} in its prefactor
     l1 += (2 * nl - 1) * cmath.log(1.0 + zeta * eta) - (nl - 0.5) * cmath.log(1.0 + eta * eta)
+    p, q = zeta * eta / (1.0 + zeta * eta), eta * eta / (1.0 + eta * eta)
 
     def term(scale, c, x, a_lo, b_lo, a_hi, b_hi):
         if c == 0:
             return 0.0 + 0.0j
         # a = 0 degenerates to unit mass at the lower end: I_x(0, b) = 1
-        lo = 1.0 + 0.0j if a_lo == 0 else reg_inc_beta(x, a_lo, b_lo)
-        return _unscale(scale, c) * (lo - reg_inc_beta(x, a_hi, b_hi))
+        lo = (0.0, 1.0) if a_lo == 0 else reg_inc_beta(x, a_lo, b_lo)
+        m, (u, v) = _common_scale([lo, reg_inc_beta(x, a_hi, b_hi)])
+        return _unscale(scale + m, c * (u - v))
 
     return CdiTerms(
-        term1=term(l1, c1, fr.p_frak, 2 * L, 2 * n, 2 * N + 2 * L, 2 * n - 2 * N),
-        term2=term(l2, c2, fr.q_frak, L, n + 0.5, N + L, n - N + 0.5),
-        term3=term(l3, c3, fr.q_frak, L + 0.5, n, N + L + 0.5, n - N),
+        term1=term(l1, c1, p, 2 * L, 2 * n, 2 * N + 2 * L, 2 * n - 2 * N),
+        term2=term(l2, c2, q, L, n + 0.5, N + L, n - N + 0.5),
+        term3=term(l3, c3, q, L + 0.5, n, N + L + 0.5, n - N),
     )
 
 
@@ -252,10 +222,9 @@ def beta_gap(params: EnsembleParams, zeta: complex, eta: complex) -> float:
     a term is NaN.
 
     The terms meet in linear space, where a term below double range reads 0
-    on both sides and passes.  At their common scale term I would fail at
-    large n+L: at Strong(1,1,1), N = 200 or 400, its beta-form mantissa is
-    exactly 0 where the direct sum is exp(-772) or smaller, a gap of 1.
-    That comparison waits for the beta form to carry its own scale.
+    on both sides and passes.  Both forms carry their terms at their own
+    scale and exponentiate once, so a term in double range, however small
+    its incomplete betas, is compared digit for digit.
     """
     t1, t2 = cdi_rhs(params, zeta, eta), cdi_rhs_beta_form(params, zeta, eta)
     gaps = []

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
-from .errors import DomainError, DoubleRangeError, NumericalError, PoleError
+from .errors import DomainError, NumericalError, PoleError
 from .params import (
     EnsembleParams,
     RegimeSpec,
@@ -33,6 +32,7 @@ from .params import (
     log_weight_omega,
 )
 from .pfaffian import pfaffian_intensity
+from .specfun import _common_scale, _lbeta, _relative_gap, _unscale
 
 __all__ = [
     "SkewOPSystem",
@@ -47,29 +47,6 @@ __all__ = [
     "rescaled_kernel",
     "rescaled_r1",
 ]
-
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _stirling_rest(x):
-    """lgamma(x) - ((x-1/2) log x - x + log(2 pi)/2): its asymptotic series
-    from x = 20, directly below."""
-    big = x >= 20.0
-    xs = np.where(big, x, 20.0)
-    r = (1.0 / xs) ** 2
-    series = (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / xs
-    xd = np.where(big, 1.0, x)
-    return np.where(big, series, gammaln(xd) - (xd - 0.5) * np.log(xd) + xd - _HALF_LOG_2PI)
-
-
-def _lbeta(a, b):
-    """log B(a, b) for a, b > 0 to a few ulps of the result, where the sum of
-    three gammaln loses digits to cancellation (1e-11 absolute at a+b ~ 1e4)."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    s, lo, hi = a + b, np.minimum(a, b), np.maximum(a, b)
-    return ((lo - 0.5) * np.log(lo / s) + (hi - 0.5) * np.log1p(-lo / s) - 0.5 * np.log(s)
-            + _HALF_LOG_2PI + _stirling_rest(a) + _stirling_rest(b) - _stirling_rest(s))
-
 
 def log_moments_h(params: EnsembleParams, k):
     """log h_k, h_k = Gamma(k+2L+1) Gamma(2n-k+1) / Gamma(2n+2L+2) = B(k+2L+1, 2n-k+1),
@@ -175,16 +152,6 @@ def _power_sum(a, e, lx, b=None, f=None, ly=None):
     return m, complex(np.sum(np.exp(t - m) * mant))
 
 
-def _common_scale(pieces):
-    """Bring (scale, mantissa) pieces to their largest real scale m.
-
-    Returns (m, [exp(scale - m) * mantissa, ...]); a zero mantissa marks a
-    vanishing piece, which stays 0 and does not set m (0.0 if all vanish).
-    """
-    m = max((mi.real for mi, si in pieces if si != 0), default=0.0)
-    return m, [cmath.exp(mi - m) * si if si != 0 else 0.0 for mi, si in pieces]
-
-
 def _g_hat_scaled(params: EnsembleParams, zeta: complex, eta: complex,
                   d_dzeta: bool = False, d_deta: bool = False):
     """Scaled double sum: returns (M, S) with G_hat = exp(M) * S.
@@ -211,16 +178,7 @@ def g_hat(params: EnsembleParams, zeta: complex, eta: complex) -> complex:
     range; callers at large n+L should use the rescaled kernel, which folds
     the weight in before exponentiating.
     """
-    m, s = _g_hat_scaled(params, zeta, eta)
-    if s == 0:
-        return 0.0 + 0.0j
-    total = m + math.log(abs(s))
-    if total > 700.0:
-        raise DoubleRangeError(
-            f"g_hat magnitude exp({total:.1f}) exceeds double range; "
-            "use rescaled_kernel for large n+L"
-        )
-    return cmath.exp(m) * s
+    return _unscale(*_g_hat_scaled(params, zeta, eta))
 
 
 def _log_weight(params: EnsembleParams, zeta: complex, eta: complex) -> complex:
@@ -303,13 +261,6 @@ def skew_kernel_via_sop(system: SkewOPSystem, zeta: complex, eta: complex) -> co
     """
     m, v = _sop_scaled(system, zeta, eta)
     return cmath.exp(m) * v if v != 0 else 0.0 + 0.0j
-
-
-def _relative_gap(p, q) -> float:
-    """|x - y| / max(|x|, |y|) of two (scale, mantissa) values, at their common scale."""
-    _, (x, y) = _common_scale([p, q])
-    denom = max(abs(x), abs(y))
-    return abs(x - y) / denom if denom else 0.0
 
 
 def route_gap(system: SkewOPSystem, zeta: complex, eta: complex) -> float:

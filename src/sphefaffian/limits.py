@@ -18,11 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .cdi import _unscale, limiting_f
+from .cdi import limiting_f
 from .errors import BranchWarning, DomainError, QuadratureError
 from .params import Origin, RegimeSpec, Strong, Weak
 from .pfaffian import pfaffian_intensity
-from .specfun import _JACOBI_NODES, _gauss, erf_c, erfc_c, mittag_leffler, reg_inc_gamma_p
+from .specfun import (
+    _JACOBI_NODES,
+    _gauss,
+    _unscale,
+    erf_c,
+    erfc_c,
+    mittag_leffler,
+    reg_inc_gamma_p,
+)
 
 __all__ = [
     "LimitKernelSpec",

@@ -18,53 +18,36 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, NumericalError, SkewSymmetryWarning
 
-__all__ = ["SkewMatrix", "pfaffian", "pfaffian_intensity"]
-
-
-class SkewMatrix:
-    """A complex skew-symmetric matrix, antisymmetrized on construction.
-
-    Asymmetry beyond ``warn_tol`` times the largest entry magnitude is
-    reported through :class:`SkewSymmetryWarning`; the stored entries are
-    always exactly (A - A^T)/2.
-    """
-
-    def __init__(self, entries, warn_tol: float = 1e-10):
-        a = np.array(entries, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] % 2 != 0:
-            raise DimensionError(
-                f"Pfaffian needs even dimension, got {a.shape[0]} "
-                "(odd-dimensional skew matrices have Pf = 0 by convention "
-                "but are rejected here)"
-            )
-        scale = np.max(np.abs(a)) if a.size else 0.0
-        asym = np.max(np.abs(a + a.T)) if a.size else 0.0
-        if scale > 0 and asym > warn_tol * scale:
-            warnings.warn(
-                f"input deviates from skew symmetry by {asym:.3e} "
-                f"(relative {asym / scale:.3e}); antisymmetrizing",
-                SkewSymmetryWarning,
-                stacklevel=2,
-            )
-        self.entries = 0.5 * (a - a.T)
-        self.dim = a.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return self.entries.copy()
-        return self.entries.astype(dtype)
+__all__ = ["pfaffian", "pfaffian_intensity"]
 
 
 def pfaffian(a) -> complex:
-    """Pfaffian of a skew-symmetric matrix (array-like or SkewMatrix)."""
-    if not isinstance(a, SkewMatrix):
-        a = SkewMatrix(a)
-    m = a.entries.copy()
-    dim = a.dim
+    """Pfaffian of a square, even-dimensional matrix's skew part (A - A^T)/2.
+
+    Asymmetry beyond 1e-10 times the largest entry magnitude is reported
+    through :class:`SkewSymmetryWarning`.
+    """
+    a = np.array(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    dim = a.shape[0]
+    if dim % 2 != 0:
+        raise DimensionError(
+            f"Pfaffian needs even dimension, got {dim} "
+            "(odd-dimensional skew matrices have Pf = 0 by convention "
+            "but are rejected here)"
+        )
     if dim == 0:
         return 1.0 + 0.0j
+    scale, asym = np.max(np.abs(a)), np.max(np.abs(a + a.T))
+    if scale > 0 and asym > 1e-10 * scale:
+        warnings.warn(
+            f"input deviates from skew symmetry by {asym:.3e} "
+            f"(relative {asym / scale:.3e}); antisymmetrizing",
+            SkewSymmetryWarning,
+            stacklevel=2,
+        )
+    m = 0.5 * (a - a.T)
     pf = 1.0 + 0.0j
     for k in range(0, dim - 2, 2):
         # pivot: largest |m[k, i]| for i > k, moved into position k+1

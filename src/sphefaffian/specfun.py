@@ -1,4 +1,9 @@
-"""Special functions backing the kernel formulas.
+"""Special functions backing the kernel formulas, and the package's
+(scale, mantissa) convention: a value is exp(scale) * mantissa with a
+complex scale, a zero mantissa marking a vanishing factor, so magnitudes far
+outside double range keep their digits.  ``_common_scale``,
+``_relative_gap``, ``_unscale``, ``_lbeta`` and ``_stirling_rest`` are its
+helpers; every other module imports them from here.
 
 Everything here is complex/real double precision; the first three take arrays:
 
@@ -9,11 +14,13 @@ Everything here is complex/real double precision; the first three take arrays:
 * ``reg_inc_gamma_p`` -- regularised lower incomplete gamma P(c,z) for
   complex z along the straight ray from 0,
 * ``reg_inc_beta`` -- regularised incomplete beta I_x(a,b) in the cut
-  plane via the hypergeometric series.
+  plane as (scale, mantissa), by one continued fraction (about 1e-14
+  relative at a, b <= 20, 2e-12 at a, b up to 6000).
 
 The series stop after three consecutive terms below ``_REL_TOL`` (1e-13)
 of the running sum and raise ConvergenceError after ``_MAX_TERMS`` (10**6)
-terms.  Both are module constants, read at each call.
+terms; the fraction stops at a step below ``_CF_TOL`` (1e-15) and raises
+after ``_CF_MAX`` (10**4).  All are module constants, read at each call.
 ``_gauss`` integrates against s^alpha (1-s)^beta by Gauss rules of
 ``_JACOBI_NODES`` (16) nodes and up, doubling to at most ``_MAX_NODES`` (1024).
 """
@@ -44,6 +51,62 @@ __all__ = [
 _REL_TOL = 1e-13
 _MAX_TERMS = 10**6
 _JACOBI_NODES, _MAX_NODES = 16, 1024  # Gauss rules: first n, cap
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+# -- the (scale, mantissa) convention: value = exp(scale) * mantissa ---------
+
+def _common_scale(pieces):
+    """Bring (scale, mantissa) pieces to their largest real scale m.
+
+    Returns (m, [exp(scale - m) * mantissa, ...]); a zero mantissa marks a
+    vanishing piece, which stays 0 and does not set m (0.0 if all vanish).
+    """
+    m = max((mi.real for mi, si in pieces if si != 0), default=0.0)
+    return m, [cmath.exp(mi - m) * si if si != 0 else 0.0 for mi, si in pieces]
+
+
+def _relative_gap(p, q) -> float:
+    """|x - y| / max(|x|, |y|) of two (scale, mantissa) values, at their common scale."""
+    _, (x, y) = _common_scale([p, q])
+    denom = max(abs(x), abs(y))
+    return abs(x - y) / denom if denom else 0.0
+
+
+def _unscale(scale: complex, mantissa: complex, shift: complex = 0.0) -> complex:
+    """exp(shift + scale) * mantissa in one exp, log(mantissa) folded in: a value
+    in double range neither overflows on the way nor rounds twice if subnormal;
+    one beyond it raises DoubleRangeError."""
+    if mantissa == 0:
+        return 0.0 + 0.0j
+    x = shift + scale + cmath.log(mantissa)
+    if x.real < -708.0:  # subnormal: cmath.exp would round modulus, then phase
+        v = cmath.exp(x + 64 * math.log(2.0))
+        return complex(math.ldexp(v.real, -64), math.ldexp(v.imag, -64))
+    try:
+        return cmath.exp(x)
+    except OverflowError:
+        raise DoubleRangeError(f"value exp({x.real:.1f}) exceeds double range") from None
+
+
+def _stirling_rest(x):
+    """lgamma(x) - ((x-1/2) log x - x + log(2 pi)/2): its asymptotic series
+    from x = 20, directly below."""
+    big = x >= 20.0
+    xs = np.where(big, x, 20.0)
+    r = (1.0 / xs) ** 2
+    series = (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / xs
+    xd = np.where(big, 1.0, x)
+    return np.where(big, series, gammaln(xd) - (xd - 0.5) * np.log(xd) + xd - _HALF_LOG_2PI)
+
+
+def _lbeta(a, b):
+    """log B(a, b) for a, b > 0 to a few ulps of the result, where the sum of
+    three gammaln loses digits to cancellation (1e-11 absolute at a+b ~ 1e4)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    s, lo, hi = a + b, np.minimum(a, b), np.maximum(a, b)
+    return ((lo - 0.5) * np.log(lo / s) + (hi - 0.5) * np.log1p(-lo / s) - 0.5 * np.log(s)
+            + _HALF_LOG_2PI + _stirling_rest(a) + _stirling_rest(b) - _stirling_rest(s))
 
 
 # -- complex error function -------------------------------------------------
@@ -165,69 +228,58 @@ def reg_inc_gamma_p(c: float, z: complex) -> complex:
 
 # -- regularised incomplete beta --------------------------------------------
 
-def reg_inc_beta(x: complex, a: float, b: float) -> complex:
-    """Regularised incomplete beta I_x(a,b) on the cut plane C \\ (-inf, 0).
+_CF_TOL, _CF_MAX, _TINY = 1e-15, 10**4, 1e-300  # fraction: stop below, cap, Lentz's shift
 
-    Evaluated through
-    I_x(a,b) = [Gamma(a+b)/(Gamma(a)Gamma(b))] x^a (1-x)^{b-1}/a
-               * 2F1(1, 1-b; a+1; x/(x-1)),
-    with the reflection I_x(a,b) = 1 - I_{1-x}(b,a) applied for Re x > 1/2
-    so the hypergeometric series argument stays inside the unit disc.
-    That series converges like |x/(x-1)|^s and stalls as Re x -> 1/2, so
-    where |x| is the smaller ratio (|1-x| < 1) the Euler-transformed
-    I_x(a,b) = [Gamma(a+b)/(Gamma(a)Gamma(b))] x^a (1-x)^b/a
-               * 2F1(1, a+b; a+1; x)
-    is summed instead.
+
+@functools.lru_cache(maxsize=256)
+def _log_a_beta(a: float, b: float) -> float:
+    """log(a B(a, b)), the fraction's normaliser, once per (a, b)."""
+    return math.log(a) + float(_lbeta(a, b))
+
+
+def _beta_fraction(x: complex, a: float, b: float):
+    """I_x(a, b) = x^a (1-x)^b / (a B(a, b)) / (1 + d_1/(1 + d_2/(1 + ...))) as
+    (scale, mantissa), by DLMF 8.17.22's continued fraction in the modified
+    Lentz form (Thompson & Barnett, J. Comput. Phys. 64 (1986) 490)."""
+    scale = a * cmath.log(x) + b * cmath.log(1.0 - x) - _log_a_beta(a, b)
+    f, c, d = 1.0 + 0.0j, 1.0 + 0.0j, 0.0j
+    for j in range(1, _CF_MAX + 1):
+        m = j // 2
+        if j % 2:  # d_{2m+1}
+            num = -(a + m) * (a + b + m) / ((a + 2 * m) * (a + 2 * m + 1.0)) * x
+        else:  # d_{2m}
+            num = m * (b - m) / ((a + 2 * m - 1.0) * (a + 2 * m)) * x
+        d = 1.0 / (1.0 + num * d or _TINY)  # a zero denominator is shifted off 0
+        c = 1.0 + num / c or _TINY
+        step = c * d
+        f *= step
+        if abs(step - 1.0) < _CF_TOL:
+            return scale, 1.0 / f
+    raise ConvergenceError(f"reg_inc_beta(x={x}, a={a}, b={b}) needs over {_CF_MAX} fraction terms")
+
+
+def reg_inc_beta(x: complex, a: float, b: float):
+    """Regularised incomplete beta I_x(a,b) on C \\ ((-inf, 0] u [1, inf)) as
+    (scale, mantissa), I = exp(scale) * mantissa, so I far outside double
+    range keeps its digits:
+
+        log I = a log x + b log(1-x) - log a - log B(a,b) + log CF,
+
+    CF the continued fraction of DLMF 8.17.22.  Where Re x >= (a+1)/(a+b+2)
+    the fraction converges slowly, and I = 1 - I_{1-x}(b,a) is formed once,
+    from the fraction at 1-x, which is then on the fast side for (b, a).
     """
     if not (a > 0 and b > 0):
         raise DomainError(f"reg_inc_beta needs a, b > 0, got a={a}, b={b}")
     x = complex(x)
-    if x == 0:
-        return 0.0 + 0.0j
-    if x == 1:
-        return 1.0 + 0.0j
-    if x.imag == 0.0 and x.real < 0.0:
-        raise DomainError(f"reg_inc_beta: x={x} lies on the branch cut (-inf, 0)")
-    if x.real > 0.5:
-        return 1.0 - reg_inc_beta(1.0 - x, b, a)
-    u = x / (x - 1.0)
-    if abs(x) < abs(u):
-        f = _hyp2f1_unit_series(a + b, a + 1.0, x)
-        b_exp = b
-    else:
-        f = _hyp2f1_unit_series(1.0 - b, a + 1.0, u)
-        b_exp = b - 1.0
-    log_pref = (
-        gammaln(a + b)
-        - gammaln(a)
-        - gammaln(b)
-        + a * cmath.log(x)
-        + b_exp * cmath.log(1.0 - x)
-        - math.log(a)
-    )
-    return cmath.exp(log_pref) * f
-
-
-def _hyp2f1_unit_series(beta: float, gamma_: float, u: complex) -> complex:
-    # 2F1(1, beta; gamma; u) = sum_s (beta)_s / (gamma)_s u^s
-    term = 1.0 + 0.0j
-    total = 1.0 + 0.0j
-    small_streak = 0
-    for s in range(_MAX_TERMS):
-        term *= (beta + s) / (gamma_ + s) * u
-        total += term
-        if abs(term) > 1e250:
-            raise ConvergenceError(
-                f"reg_inc_beta hypergeometric series diverging (|term|>{1e250:g}) "
-                f"at s={s}; parameters too large for the series route"
-            )
-        if abs(term) < _REL_TOL * abs(total):
-            small_streak += 1
-            if small_streak >= 3:
-                return total
-        else:
-            small_streak = 0
-    raise ConvergenceError("reg_inc_beta hypergeometric series stalled")
+    if x == 0 or x == 1:  # I_0 = 0 and I_1 = 1: the mantissa is x itself
+        return 0.0, x
+    if x.imag == 0.0 and not 0.0 < x.real < 1.0:
+        raise DomainError(f"reg_inc_beta: x={x} lies on a branch cut, (-inf, 0] or [1, inf)")
+    if x.real < (a + 1.0) / (a + b + 2.0):
+        return _beta_fraction(x, a, b)
+    m, (one, rest) = _common_scale([(0.0, 1.0), _beta_fraction(1.0 - x, b, a)])
+    return m, one - rest
 
 
 # -- Gauss rules ------------------------------------------------------------

@@ -10,7 +10,6 @@ from sphefaffian.cdi import (
     CdiTerms,
     beta_gap,
     cdi_derivative,
-    cdi_fractions,
     cdi_residual,
     cdi_rhs,
     cdi_rhs_beta_form,
@@ -21,17 +20,6 @@ from sphefaffian.finitekernel import rescaled_kernel, skew_kernel_tilde_dzeta
 from sphefaffian.specfun import erfc_c, reg_inc_gamma_p
 
 TRIPLES = [(2, 4, 0.0), (3, 6, 1.0), (4, 9, 2.5)]
-
-
-class TestFractions:
-    def test_complement_identities(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            z = rng.normal(scale=0.7) + 1j * rng.normal(scale=0.7)
-            e = rng.normal(scale=0.7) + 1j * rng.normal(scale=0.7)
-            fr = cdi_fractions(z, e)
-            assert abs(1.0 - fr.p_frak - 1.0 / (1.0 + z * e)) < 1e-14
-            assert abs(1.0 - fr.q_frak - 1.0 / (1.0 + e * e)) < 1e-14
 
 
 class TestIdentity:
@@ -58,6 +46,13 @@ class TestIdentity:
         # at L = 1/2 term III keeps zeta^0 = 1 at zeta = 0
         pa = EnsembleParams(N=3, n=6.0, L=L)
         assert cdi_residual(pa, 0.0, 0.3 + 0.1j) < 1e-8
+
+    @pytest.mark.parametrize("fn", [cdi_rhs, cdi_rhs_beta_form])
+    def test_pole_at_zeta_eta_minus_one(self, fn):
+        pa = EnsembleParams(N=3, n=6.0, L=1.0)
+        zeta = 0.5 + 0.5j  # eta = -1/zeta = -1 + 1j, so 1 + zeta eta is exactly 0
+        with pytest.raises(PoleError):
+            fn(pa, zeta, -1.0 / zeta)
 
     def test_residual_finite_where_sides_exceed_double_range(self):
         pa = Strong(a=1.0, b=1.0, p=1.0).params_at(400)

@@ -1,12 +1,15 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import sphefaffian
 from sphefaffian import cdi, finitekernel, limits
 from sphefaffian.cli import main
 from sphefaffian.limits import LimitKernelSpec
@@ -159,6 +162,11 @@ class TestCheck:
 
     def test_beta_passes(self):
         rc = main(["check", "beta", "--N", "4", "--n", "9", "--L", "1.5"])
+        assert rc == 0
+
+    def test_beta_passes_at_large_n(self):
+        # the hypergeometric incomplete beta missed 1e-9 here (2.25e-9)
+        rc = main(["check", "beta", "--N", "400", "--n", "800", "--L", "400"])
         assert rc == 0
 
     def test_ode_passes(self):
@@ -334,9 +342,12 @@ class TestCheckReport:
 
 class TestEntryPoint:
     def test_console_script_runs(self):
+        # the child imports the package the tests import, from a checkout too
+        src = str(Path(sphefaffian.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "sphefaffian.cli", "check", "sop-equiv",
              "--N", "3", "--n", "6", "--L", "1"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0

@@ -12,6 +12,7 @@ from scipy.special import gammaln
 from sphefaffian import specfun
 from sphefaffian.errors import ConvergenceError, DomainError, DoubleRangeError
 from sphefaffian.specfun import (
+    _unscale,
     erf_c,
     erfc_c,
     inc_gamma_entire_part,
@@ -219,36 +220,40 @@ class TestIncGamma:
             inc_gamma_entire_part(2.0, -800.0)
 
 
+def _inc_beta(x, a, b):
+    """I_x(a, b) as a number, from reg_inc_beta's (scale, mantissa)."""
+    return _unscale(*reg_inc_beta(x, a, b))
+
+
 class TestIncBeta:
     def test_uniform_cdf(self):
-        assert reg_inc_beta(0.37, 1.0, 1.0).real == pytest.approx(0.37, rel=1e-13)
+        assert _inc_beta(0.37, 1.0, 1.0).real == pytest.approx(0.37, rel=1e-13)
 
     def test_full_integral(self):
-        assert reg_inc_beta(1.0, 2.5, 4.0) == 1.0
+        assert _inc_beta(1.0, 2.5, 4.0) == 1.0
 
     def test_binomial_sum_identity(self):
         n, m, x = 7, 3, 0.42
         want = sum(
             math.comb(n, j) * x ** j * (1 - x) ** (n - j) for j in range(m, n + 1)
         )
-        got = reg_inc_beta(x, m, n - m + 1)
+        got = _inc_beta(x, m, n - m + 1)
         assert got.real == pytest.approx(want, rel=1e-12)
         assert abs(got.imag) < 1e-15
 
     @given(st.floats(0.01, 0.99), st.floats(0.2, 8.0), st.floats(0.2, 8.0))
     @settings(max_examples=50, deadline=None)
     def test_reflection_sum(self, x, a, b):
-        total = reg_inc_beta(x, a, b) + reg_inc_beta(1.0 - x, b, a)
+        total = _inc_beta(x, a, b) + _inc_beta(1.0 - x, b, a)
         assert abs(total - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("x", [0.5, 0.5 + 0.3j, 0.49])
     def test_near_half_against_closed_form(self, x):
-        # I_x(1, b) = 1 - (1-x)^b; at Re x = 1/2 the series in x/(x-1) sits
-        # on its circle of convergence
+        # I_x(1, b) = 1 - (1-x)^b in closed form, on and near Re x = 1/2
         for a, b in ((1.0, 0.5), (1.0, 3.7)):
             want = 1.0 - (1.0 - x) ** b
-            assert abs(reg_inc_beta(x, a, b) - want) <= 1e-13
-            assert abs(reg_inc_beta(1.0 - x, b, a) - (1.0 - want)) <= 1e-13
+            assert abs(_inc_beta(x, a, b) - want) <= 1e-13
+            assert abs(_inc_beta(1.0 - x, b, a) - (1.0 - want)) <= 1e-13
 
     def test_cut_rejected(self):
         with pytest.raises(DomainError):
@@ -265,5 +270,75 @@ class TestIncBeta:
         re = quad(lambda t: integrand(t).real, 0, 1, epsabs=1e-14)[0]
         im = quad(lambda t: integrand(t).imag, 0, 1, epsabs=1e-14)[0]
         want = complex(re, im) * math.exp(gammaln(a + b) - gammaln(a) - gammaln(b))
-        got = reg_inc_beta(x, a, b)
+        got = _inc_beta(x, a, b)
         assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def _log_gap(got, want):
+    """|log got - log want| with the imaginary part taken mod 2 pi."""
+    d = got - want
+    return abs(complex(d.real, math.remainder(d.imag, 2.0 * math.pi)))
+
+
+def _mp_log_inc_beta(x, a, b, dps):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        return complex(mpmath.log(mpmath.betainc(a, b, 0, x, regularized=True)))
+
+
+def _log_inc_beta(x, a, b):
+    scale, mantissa = reg_inc_beta(x, a, b)
+    return scale + cmath.log(mantissa)
+
+
+class TestIncBetaFraction:
+    """reg_inc_beta's continued fraction against mpmath's betainc."""
+
+    @pytest.mark.parametrize("x,a,b", [
+        (0.5 + 0.9j, 1.0, 0.5),  # the two points where the 2F1 series stalled
+        (0.5 + 2j, 1.0, 0.5),
+        (0.55 + 0.77j, 20.0, 5.5),  # where it was off by 1.5e-2
+        # Re x = (a+1)/(a+b+2) and Re(1-x) = (b+1)/(a+b+2): a reflection
+        # that tested again would recurse without end
+        (0.5 + 0.01j, 300.0, 300.0),
+    ])
+    def test_hard_points(self, x, a, b):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            want = complex(mpmath.betainc(a, b, 0, x, regularized=True))
+        assert abs(_inc_beta(x, a, b) - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("N", [100, 400, 1000])
+    def test_cdi_betas_at_check_points(self, N):
+        # the six betas of cdi_rhs_beta_form at `check beta`'s 15 points,
+        # Strong(1,1,1): n = 2N, L = N; |I| runs far outside double range
+        n, L = 2.0 * N, float(N)
+        rng = np.random.default_rng(2)
+        worst = 0.0
+        for _ in range(15):
+            z = rng.uniform(0.05, 0.5) + 1j * rng.uniform(-0.05, 0.05)
+            e = rng.uniform(0.05, 0.5) + 1j * rng.uniform(-0.05, 0.05)
+            p, q = z * e / (1 + z * e), e * e / (1 + e * e)
+            for x, a, b in ((p, 2 * L, 2 * n), (p, 2 * N + 2 * L, 2 * n - 2 * N),
+                            (q, L, n + 0.5), (q, N + L, n - N + 0.5),
+                            (q, L + 0.5, n), (q, N + L + 0.5, n - N)):
+                want = _mp_log_inc_beta(x, a, b, 40)
+                worst = max(worst, _log_gap(_log_inc_beta(x, a, b), want))
+        assert worst <= 2e-12
+
+    def test_large_parameters(self):
+        # a, b up to 6000 on both sides of the reflection threshold, at the
+        # points where mpmath's own hypergeometric series converges
+        rng = np.random.default_rng(11)
+        worst, compared = 0.0, 0
+        for _ in range(12):
+            x = complex(rng.uniform(0.02, 0.98), rng.uniform(-0.2, 0.2))
+            a, b = rng.uniform(1.0, 6000.0, 2)
+            try:
+                want = _mp_log_inc_beta(x, a, b, 40)
+            except ValueError:  # mpmath: hypsum() failed to converge
+                continue
+            worst = max(worst, _log_gap(_log_inc_beta(x, a, b), want))
+            compared += 1
+        assert compared >= 8
+        assert worst <= 5e-12
