@@ -12,13 +12,12 @@ binomial-type sums in q = eta^2/(1+eta^2).  Each sum also equals a
 difference of two regularised incomplete beta values, which is the form
 whose large-N asymptotics produce the limiting kernels.
 
-Large n+L puts single terms far outside double range, so the sums and the
-incomplete betas are carried in specfun's (scale, mantissa) convention: a
-value is exp(scale) * mantissa with a complex scale, a zero mantissa
-marking a vanishing factor.  Each term is exponentiated once, after its
-weight, and one still beyond double range raises DoubleRangeError (a
-NumericalError); cdi_residual compares its two sides at their common
-scale, so it never overflows.
+Large n+L puts single terms far outside double range, so _log_terms (the
+sums) and _log_beta_terms (the betas) give them in specfun's (scale,
+mantissa) convention, exp(scale) * mantissa with a complex scale.  cdi_rhs
+and cdi_rhs_beta_form exponentiate each term once (DoubleRangeError beyond
+double range); cdi_derivative, cdi_residual and beta_gap meet terms at
+their common scale first, so a term outside double range costs no digits.
 """
 
 from __future__ import annotations
@@ -64,10 +63,6 @@ class CdiTerms:
     term1: complex
     term2: complex
     term3: complex
-
-    @property
-    def combined(self) -> complex:
-        return self.term1 - self.term2 - self.term3
 
 
 @dataclass(frozen=True)
@@ -141,12 +136,51 @@ def _log_terms(params: EnsembleParams, zeta: complex, eta: complex):
     return [(lw + lp + m, c * s) for (lp, c), (m, s) in sums]
 
 
+def _log_beta_terms(params: EnsembleParams, zeta: complex, eta: complex):
+    """I_N, II_N, III_N by their incomplete-beta forms as (scale, mantissa)
+    pairs, weight included; the two betas of a sum meet at their common scale:
+
+    I-sum  = I_p(2L, 2n)      - I_p(2N+2L, 2n-2N),   p = zeta eta / (1 + zeta eta)
+    II-sum = I_q(L, n+1/2)    - I_q(N+L, n-N+1/2),   q = eta^2 / (1 + eta^2)
+    III-sum= I_q(L+1/2, n)    - I_q(N+L+1/2, n-N)
+    with the a = 0 degenerate case I_x(0, b) = 1 (x != 0).
+    """
+    n, L, N, nl = params.n, params.L, params.N, params.nl
+    (l1, c1), (l2, c2), (l3, c3) = _log_prefactors(params, zeta, eta)
+    # the q-sums carry the weight (1-q)^{n+L-1/2} themselves; the p-sum
+    # needs it and (1+zeta*eta)^{2n+2L-1} in its prefactor
+    l1 += (2 * nl - 1) * cmath.log(1.0 + zeta * eta) - (nl - 0.5) * cmath.log(1.0 + eta * eta)
+    p, q = zeta * eta / (1.0 + zeta * eta), eta * eta / (1.0 + eta * eta)
+
+    def term(scale, c, x, a_lo, b_lo, a_hi, b_hi):
+        if c == 0:
+            return 0.0, 0.0
+        # a = 0 degenerates to unit mass at the lower end: I_x(0, b) = 1
+        lo = (0.0, 1.0) if a_lo == 0 else reg_inc_beta(x, a_lo, b_lo)
+        m, (u, v) = _common_scale([lo, reg_inc_beta(x, a_hi, b_hi)])
+        return scale + m, c * (u - v)
+
+    return [
+        term(l1, c1, p, 2 * L, 2 * n, 2 * N + 2 * L, 2 * n - 2 * N),
+        term(l2, c2, q, L, n + 0.5, N + L, n - N + 0.5),
+        term(l3, c3, q, L + 0.5, n, N + L + 0.5, n - N),
+    ]
+
+
 def _derivative_weight(params: EnsembleParams, zeta: complex) -> complex:
     """log (1+zeta^2)^{-(n+L+1/2)}, the derivative's weight, with its pole at zeta = +-i."""
     oz = 1.0 + zeta * zeta
     if oz == 0:
         raise PoleError("derivative has a pole at zeta = +-i")
     return -(params.nl + 0.5) * cmath.log(oz)
+
+
+def _log_derivative(params: EnsembleParams, zeta: complex, terms):
+    """The identity's right side (1+zeta^2)^{-(n+L+1/2)} (I - II - III) as
+    (scale, mantissa), its three terms, from either list, met at their common scale."""
+    lw = _derivative_weight(params, zeta)
+    m, (t1, t2, t3) = _common_scale([(lw + x, s) for x, s in terms])
+    return m, t1 - t2 - t3
 
 
 def cdi_rhs(params: EnsembleParams, zeta: complex, eta: complex) -> CdiTerms:
@@ -163,45 +197,18 @@ def cdi_rhs(params: EnsembleParams, zeta: complex, eta: complex) -> CdiTerms:
 
 
 def cdi_rhs_beta_form(params: EnsembleParams, zeta: complex, eta: complex) -> CdiTerms:
-    """Same three terms with each sum replaced by its incomplete-beta form.
-
-    I-sum  = I_p(2L, 2n)      - I_p(2N+2L, 2n-2N),   p = zeta eta / (1 + zeta eta)
-    II-sum = I_q(L, n+1/2)    - I_q(N+L, n-N+1/2),   q = eta^2 / (1 + eta^2)
-    III-sum= I_q(L+1/2, n)    - I_q(N+L+1/2, n-N)
-    with the a = 0 degenerate case I_x(0, b) = 1 (x != 0).  The two betas
-    of a sum meet at their common scale, and each term is exponentiated
-    once, so a term in double range is finite however small its betas.
+    """Same three terms with each sum replaced by its incomplete-beta form
+    (see _log_beta_terms), each exponentiated once: a term in double range
+    is finite however small its betas, one beyond it raises DoubleRangeError.
     """
-    zeta, eta = complex(zeta), complex(eta)
-    n, L, N, nl = params.n, params.L, params.N, params.nl
-    (l1, c1), (l2, c2), (l3, c3) = _log_prefactors(params, zeta, eta)
-    # the q-sums carry the weight (1-q)^{n+L-1/2} themselves; the p-sum
-    # needs it and (1+zeta*eta)^{2n+2L-1} in its prefactor
-    l1 += (2 * nl - 1) * cmath.log(1.0 + zeta * eta) - (nl - 0.5) * cmath.log(1.0 + eta * eta)
-    p, q = zeta * eta / (1.0 + zeta * eta), eta * eta / (1.0 + eta * eta)
-
-    def term(scale, c, x, a_lo, b_lo, a_hi, b_hi):
-        if c == 0:
-            return 0.0 + 0.0j
-        # a = 0 degenerates to unit mass at the lower end: I_x(0, b) = 1
-        lo = (0.0, 1.0) if a_lo == 0 else reg_inc_beta(x, a_lo, b_lo)
-        m, (u, v) = _common_scale([lo, reg_inc_beta(x, a_hi, b_hi)])
-        return _unscale(scale + m, c * (u - v))
-
-    return CdiTerms(
-        term1=term(l1, c1, p, 2 * L, 2 * n, 2 * N + 2 * L, 2 * n - 2 * N),
-        term2=term(l2, c2, q, L, n + 0.5, N + L, n - N + 0.5),
-        term3=term(l3, c3, q, L + 0.5, n, N + L + 0.5, n - N),
-    )
+    return CdiTerms(*(_unscale(*t) for t in _log_beta_terms(params, complex(zeta), complex(eta))))
 
 
-def cdi_derivative(params: EnsembleParams, zeta: complex, eta: complex,
-                   beta_form: bool = False) -> complex:
-    """d/dzeta of the skew-kernel assembled from the closed-form RHS."""
+def cdi_derivative(params: EnsembleParams, zeta: complex, eta: complex) -> complex:
+    """d/dzeta of the skew-kernel assembled from the direct-sum RHS; finite
+    wherever it lies in double range, even where a term of cdi_rhs does not."""
     zeta = complex(zeta)
-    lw = _derivative_weight(params, zeta)
-    terms = cdi_rhs_beta_form(params, zeta, eta) if beta_form else cdi_rhs(params, zeta, eta)
-    return _unscale(lw, terms.combined)
+    return _unscale(*_log_derivative(params, zeta, _log_terms(params, zeta, complex(eta))))
 
 
 def cdi_residual(params: EnsembleParams, zeta: complex, eta: complex) -> float:
@@ -210,28 +217,18 @@ def cdi_residual(params: EnsembleParams, zeta: complex, eta: complex) -> float:
     the RHS formulas, so this is a genuine two-sided identity check.  The
     sides meet at their common scale, so it is finite at any N."""
     zeta, eta = complex(zeta), complex(eta)
-    lhs = _kernel_dzeta_scaled(params, zeta, eta)
-    lz = _derivative_weight(params, zeta)
-    m, (t1, t2, t3) = _common_scale([(lz + x, s) for x, s in _log_terms(params, zeta, eta)])
-    return _relative_gap(lhs, (m, t1 - t2 - t3))
+    return _relative_gap(_kernel_dzeta_scaled(params, zeta, eta),
+                         _log_derivative(params, zeta, _log_terms(params, zeta, eta)))
 
 
 def beta_gap(params: EnsembleParams, zeta: complex, eta: complex) -> float:
-    """Largest relative gap between cdi_rhs and cdi_rhs_beta_form over the
-    three terms: |a-b| / max(|a|, |b|), or |a-b| where both are 0; NaN if
-    a term is NaN.
-
-    The terms meet in linear space, where a term below double range reads 0
-    on both sides and passes.  Both forms carry their terms at their own
-    scale and exponentiate once, so a term in double range, however small
-    its incomplete betas, is compared digit for digit.
-    """
-    t1, t2 = cdi_rhs(params, zeta, eta), cdi_rhs_beta_form(params, zeta, eta)
-    gaps = []
-    for a, b in ((t1.term1, t2.term1), (t1.term2, t2.term2), (t1.term3, t2.term3)):
-        denom = max(abs(a), abs(b))
-        gaps.append(abs(a - b) / denom if denom > 0 else abs(a - b))
-    return float(np.max(gaps))
+    """Largest relative gap |a-b| / max(|a|, |b|) between the direct and the
+    incomplete-beta terms, each pair at its common scale (0 where both
+    vanish, NaN if a term is NaN): a term outside double range is compared
+    digit for digit instead of reading 0 or overflowing on both sides."""
+    zeta, eta = complex(zeta), complex(eta)
+    return float(np.max([_relative_gap(a, b) for a, b in zip(
+        _log_terms(params, zeta, eta), _log_beta_terms(params, zeta, eta))]))
 
 
 def rescaled_cdi_terms(
@@ -259,24 +256,16 @@ def rescaled_cdi_terms(
     )
 
 
-def limiting_f(regime: RegimeSpec, z: complex, w: complex, variant: str | None = None) -> complex:
-    """Limiting inhomogeneity F of the kernel ODE for the given regime.
-
-    variant, when given, must agree with the regime type:
-    's' for Strong, 'w' for Weak, 'o' for Origin.
-    """
+def limiting_f(regime: RegimeSpec, z: complex, w: complex) -> complex:
+    """Limiting inhomogeneity F of the kernel ODE for the given regime."""
     z, w = complex(z), complex(w)
     if isinstance(regime, Strong):
-        if variant not in (None, "s"):
-            raise DomainError(f"variant {variant!r} inconsistent with Strong regime")
         if not regime.at_edge:
             return 2.0 * cmath.exp(-((z - w) ** 2))
         return cmath.exp(-((z - w) ** 2)) * erfc_c(z + w) - cmath.exp(
             -2.0 * z * z
         ) / math.sqrt(2.0) * erfc_c(math.sqrt(2.0) * w)
     if isinstance(regime, Weak):
-        if variant not in (None, "w"):
-            raise DomainError(f"variant {variant!r} inconsistent with Weak regime")
         rho = regime.rho
         g1 = erfc_c(z + w - rho / math.sqrt(2.0)) - erfc_c(z + w + rho / math.sqrt(2.0))
         g2 = erfc_c(math.sqrt(2.0) * w - rho / 2.0) - erfc_c(math.sqrt(2.0) * w + rho / 2.0)
@@ -285,8 +274,6 @@ def limiting_f(regime: RegimeSpec, z: complex, w: complex, variant: str | None =
         )
         return cmath.exp(-((z - w) ** 2)) * g1 - gauss * g2 / math.sqrt(2.0)
     if isinstance(regime, Origin):
-        if variant not in (None, "o"):
-            raise DomainError(f"variant {variant!r} inconsistent with Origin regime")
         L = regime.L
         first = 2.0 * cmath.exp(-((z - w) ** 2))
         if L == 0:

@@ -18,7 +18,6 @@ import numpy as np
 from . import __version__, cdi, finitekernel, limits
 from .errors import SphefaffianError
 from .params import EnsembleParams, Origin, Strong, Weak, droplet
-from .pfaffian import pfaffian  # noqa: F401  (re-exported for scripts)
 
 FORMAT_SIG = "%.17g"
 

@@ -13,6 +13,9 @@ own coefficients, and both go through one O(N) prefix sum (``_power_sum``)
 carried in (scale, mantissa) form, value = exp(scale) * mantissa, so n+L
 of several thousand stays finite.  Their agreement to ~1e-12 relative is
 the structural self-check of the whole finite-N layer.
+
+Values leave that form through ``specfun._unscale`` (one exp, weight folded
+in, DoubleRangeError beyond double range), except the two routes' own exits.
 """
 
 from __future__ import annotations
@@ -203,6 +206,7 @@ def _kernel_scaled(params: EnsembleParams, zeta: complex, eta: complex):
 def skew_kernel_tilde(params: EnsembleParams, zeta: complex, eta: complex) -> complex:
     """The antisymmetric weighted kernel at finite N (double-sum route)."""
     m, v = _kernel_scaled(params, zeta, eta)
+    # bare cmath.exp, as in skew_kernel_via_sop: perfbench/ledger.json lists their OverflowError
     return cmath.exp(m) * v if v != 0 else 0.0 + 0.0j
 
 
@@ -228,8 +232,7 @@ def skew_kernel_tilde_dzeta(params: EnsembleParams, zeta: complex, eta: complex)
     This is the independent oracle for the Christoffel-Darboux residual:
     it never touches the closed-form right-hand side.
     """
-    m, v = _kernel_dzeta_scaled(params, zeta, eta)
-    return cmath.exp(m) * v
+    return _unscale(*_kernel_dzeta_scaled(params, zeta, eta))
 
 
 def _sop_scaled(system: SkewOPSystem, zeta: complex, eta: complex):
@@ -281,10 +284,8 @@ def correlation_rk(params: EnsembleParams, points) -> float:
     raises (see ``pfaffian.pfaffian_intensity``).
     """
     def entry(x: complex, y: complex) -> complex:
-        m, v = _kernel_scaled(params, x, y)
-        if v == 0:
-            return 0.0 + 0.0j
-        return cmath.exp(m + log_weight_omega(params, x) + log_weight_omega(params, y)) * v
+        return _unscale(*_kernel_scaled(params, x, y),
+                        log_weight_omega(params, x) + log_weight_omega(params, y))
 
     return pfaffian_intensity(points, entry, tol=1e-9)
 
@@ -312,11 +313,8 @@ def rescaled_kernel(
                           ktilde_N(p + z/sqrt(N delta), p + w/sqrt(N delta)).
     """
     nd, (zeta, eta) = _zoom(params, regime, z, w)
-    m, v = _kernel_scaled(params, zeta, eta)
-    if v == 0:
-        return 0.0 + 0.0j
     lpref = -3.0 * math.log1p(regime.p * regime.p) - 1.5 * math.log(nd)
-    return cmath.exp(m + lpref) * v
+    return _unscale(*_kernel_scaled(params, zeta, eta), lpref)
 
 
 def rescaled_r1(params: EnsembleParams, regime: RegimeSpec, z: complex) -> float:
@@ -327,11 +325,8 @@ def rescaled_r1(params: EnsembleParams, regime: RegimeSpec, z: complex) -> float
     function (-> 1 deep in the strong bulk).
     """
     nd, (zeta,) = _zoom(params, regime, z)
-    m, v = _kernel_scaled(params, zeta, zeta.conjugate())
-    if v == 0:
-        return 0.0
-    lw = 2.0 * log_weight_omega(params, zeta)
-    val = cmath.exp(m + lw - math.log(nd)) * v * (zeta.conjugate() - zeta)
+    lw = 2.0 * log_weight_omega(params, zeta) - math.log(nd)
+    val = _unscale(*_kernel_scaled(params, zeta, zeta.conjugate()), lw) * (zeta.conjugate() - zeta)
     if abs(val) > 0 and abs(val.imag) > 1e-9 * abs(val):
         raise NumericalError(f"rescaled R1 has imaginary residue {val.imag:.3e}")
     return val.real

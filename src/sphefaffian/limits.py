@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .cdi import limiting_f
-from .errors import BranchWarning, DomainError, QuadratureError
+from .errors import BranchWarning, DomainError, DoubleRangeError, QuadratureError
 from .params import Origin, RegimeSpec, Strong, Weak
 from .pfaffian import pfaffian_intensity
 from .specfun import (
@@ -163,12 +163,17 @@ def kappa_origin(L: float, z: complex, w: complex) -> complex:
     log_pref = 2.0 * L * cmath.log(2.0 * zw) if L > 0 else 0.0
 
     def integrand(s):
-        envelope = z * np.exp((1 - s * s) * z * z) - w * np.exp((1 - s * s) * w * w)
-        # / (2L+1), the mass of s^{2L}: _gauss averages over the weight
-        return envelope * mittag_leffler(2.0, 1.0 + 2 * L, (2.0 * s * zw) ** 2) / (1.0 + 2 * L)
+        with np.errstate(over="raise"):
+            envelope = z * np.exp((1 - s * s) * z * z) - w * np.exp((1 - s * s) * w * w)
+            # / (2L+1), the mass of s^{2L}: _gauss averages over the weight
+            return envelope * mittag_leffler(2.0, 1.0 + 2 * L, (2.0 * s * zw) ** 2) / (1 + 2 * L)
 
+    try:
+        integral = _gauss(integrand, 2 * L, 0.0, _JACOBI_NODES)
+    except FloatingPointError as exc:  # e^{z^2} or the series overflowed on a node
+        raise DoubleRangeError(f"kappa_origin integrand lies outside double range: {exc}") from exc
     # (2zw)^{2L} meets the integral in one exp: DoubleRangeError only off double range
-    return 2.0 * _unscale(log_pref, _gauss(integrand, 2 * L, 0.0, _JACOBI_NODES))
+    return 2.0 * _unscale(log_pref, integral)
 
 
 def kappa_origin_gamma_form(L: float, z: complex, w: complex) -> complex:

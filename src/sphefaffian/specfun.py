@@ -67,10 +67,11 @@ def _common_scale(pieces):
 
 
 def _relative_gap(p, q) -> float:
-    """|x - y| / max(|x|, |y|) of two (scale, mantissa) values, at their common scale."""
+    """|x - y| / max(|x|, |y|) of two (scale, mantissa) values, at their common
+    scale: 0 where both vanish, NaN where either is NaN."""
     _, (x, y) = _common_scale([p, q])
     denom = max(abs(x), abs(y))
-    return abs(x - y) / denom if denom else 0.0
+    return abs(x - y) / denom if denom else abs(x - y)
 
 
 def _unscale(scale: complex, mantissa: complex, shift: complex = 0.0) -> complex:

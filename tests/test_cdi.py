@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from sphefaffian.errors import DomainError, NumericalError, PoleError
+from sphefaffian import cdi
+from sphefaffian.errors import NumericalError, PoleError
 from sphefaffian.params import EnsembleParams, Origin, Strong, Weak, local_scale_delta
 from sphefaffian.cdi import (
-    CdiTerms,
     beta_gap,
     cdi_derivative,
     cdi_residual,
@@ -17,7 +17,7 @@ from sphefaffian.cdi import (
     rescaled_cdi_terms,
 )
 from sphefaffian.finitekernel import rescaled_kernel, skew_kernel_tilde_dzeta
-from sphefaffian.specfun import erfc_c, reg_inc_gamma_p
+from sphefaffian.specfun import _relative_gap, _unscale, erfc_c, reg_inc_gamma_p
 
 TRIPLES = [(2, 4, 0.0), (3, 6, 1.0), (4, 9, 2.5)]
 
@@ -59,10 +59,21 @@ class TestIdentity:
         assert cdi_residual(pa, 1.3 + 0.1j, -0.4 + 0.3j) <= 1e-8
 
     def test_term_beyond_double_range_is_a_numerical_error(self):
+        # a term of cdi_rhs lies beyond double range here; the derivative,
+        # whose weight meets the terms before the one exp, does not
         pa = Strong(a=1.0, b=1.0, p=1.0).params_at(400)
-        for fn in (cdi_rhs, cdi_derivative):
-            with pytest.raises(NumericalError):
-                fn(pa, 0.9 - 0.6j, 0.3 + 0.2j)
+        with pytest.raises(NumericalError):
+            cdi_rhs(pa, 0.9 - 0.6j, 0.3 + 0.2j)
+        assert cmath.isfinite(cdi_derivative(pa, 0.9 - 0.6j, 0.3 + 0.2j))
+
+    @pytest.mark.parametrize("N", [400, 1000])
+    def test_derivative_forms_agree_where_terms_exceed_double_range(self, N):
+        pa = Strong(a=1.0, b=1.0, p=1.0).params_at(N)
+        z, e = 0.9 - 0.6j, 0.3 + 0.2j
+        direct = cdi_derivative(pa, z, e)
+        beta = _unscale(*cdi._log_derivative(pa, z, cdi._log_beta_terms(pa, z, e)))
+        assert cmath.isfinite(direct)
+        assert abs(direct - beta) <= 1e-11 * abs(direct)
 
     def test_identity_second_parameter_set(self):
         # (1+z^2) d khat - 2 z (n+L-1/2) khat equals the three raw sums,
@@ -93,24 +104,45 @@ class TestBetaForm:
         for x, y in ((a.term1, b.term1), (a.term2, b.term2), (a.term3, b.term3)):
             assert abs(x - y) <= 1e-8 * max(abs(x), abs(y))
 
-    def test_beta_gap_is_the_per_term_rule(self):
-        # at the points of `check beta --N 4 --n 9 --L 1.5`, beta_gap is the
-        # largest per-term |a-b| / max(|a|, |b|) (|a-b| where both are 0)
-        pa = EnsembleParams(N=4, n=9.0, L=1.5)
+    @staticmethod
+    def _check_beta_points():
+        # the 15 points of `check beta`
         rng = np.random.default_rng(2)
         for _ in range(15):
             z = rng.uniform(0.05, 0.5) + 1j * rng.uniform(-0.05, 0.05)
             e = rng.uniform(0.05, 0.5) + 1j * rng.uniform(-0.05, 0.05)
+            yield z, e
+
+    def test_beta_gap_is_the_per_term_rule(self):
+        # beta_gap is the largest per-term relative gap of the two forms'
+        # (scale, mantissa) terms at their common scale; at the points of
+        # `check beta --N 4 --n 9 --L 1.5` every term is in double range, so
+        # it is the linear-space |a-b| / max(|a|, |b|) up to rounding
+        pa = EnsembleParams(N=4, n=9.0, L=1.5)
+        for z, e in self._check_beta_points():
+            gaps = [_relative_gap(x, y) for x, y in
+                    zip(cdi._log_terms(pa, z, e), cdi._log_beta_terms(pa, z, e))]
+            assert beta_gap(pa, z, e) == max(gaps)
             a, b = cdi_rhs(pa, z, e), cdi_rhs_beta_form(pa, z, e)
-            want = 0.0
-            for x, y in ((a.term1, b.term1), (a.term2, b.term2), (a.term3, b.term3)):
-                denom = max(abs(x), abs(y))
-                want = max(want, abs(x - y) / denom if denom > 0 else abs(x - y))
-            assert beta_gap(pa, z, e) == want
+            linear = max(abs(x - y) / max(abs(x), abs(y)) for x, y in
+                         ((a.term1, b.term1), (a.term2, b.term2), (a.term3, b.term3)))
+            assert abs(beta_gap(pa, z, e) - linear) <= 2e-15
+
+    def test_terms_below_double_range_are_compared(self):
+        # at `check beta --N 400 --n 800 --L 400` 28 of the 45 terms read 0
+        # through cdi_rhs; at their common scale every term pair still agrees
+        pa = EnsembleParams(N=400, n=800.0, L=400.0)
+        zeros = 0
+        for z, e in self._check_beta_points():
+            a = cdi_rhs(pa, z, e)
+            zeros += sum(t == 0 for t in (a.term1, a.term2, a.term3))
+            for x, y in zip(cdi._log_terms(pa, z, e), cdi._log_beta_terms(pa, z, e)):
+                assert x[1] != 0 and y[1] != 0
+                assert _relative_gap(x, y) <= 1e-11
+        assert zeros == 28
 
     def test_beta_gap_propagates_nan(self, monkeypatch):
-        nan_terms = CdiTerms(math.nan, 0.0, 0.0)
-        monkeypatch.setattr("sphefaffian.cdi.cdi_rhs_beta_form", lambda *_a: nan_terms)
+        monkeypatch.setattr("sphefaffian.cdi.reg_inc_beta", lambda *_a: (0.0, math.nan))
         assert math.isnan(beta_gap(EnsembleParams(N=4, n=9.0, L=1.5), 0.2, 0.35))
 
     def test_q_sums_vanish_at_origin_eta(self):
@@ -123,7 +155,8 @@ class TestBetaForm:
         pa = EnsembleParams(N=3, n=6.0, L=1.0)
         z, e = 0.28, 0.41
         lhs = skew_kernel_tilde_dzeta(pa, z, e)
-        rhs = cdi_derivative(pa, z, e, beta_form=True)
+        t = cdi_rhs_beta_form(pa, z, e)
+        rhs = (1 + z * z) ** -(pa.nl + 0.5) * (t.term1 - t.term2 - t.term3)
         assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
 
 
@@ -246,10 +279,6 @@ class TestLimitingF:
         want = limiting_f(Strong(a=1.0, b=1.0, p=1.0), z, w)
         got = limiting_f(Weak(rho=20.0), z, w)
         assert abs(got - want) < 1e-10
-
-    def test_variant_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            limiting_f(Weak(rho=2.0), 0.1, 0.2, variant="s")
 
     def test_edge_form_selected_at_limit_radius(self):
         reg = Strong(a=1.0, b=1.0, p=math.sqrt(2.0))

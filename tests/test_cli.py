@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -258,9 +257,6 @@ def test_check_exit_codes_fuzz(capsys):
         assert rc in (0, 2, 3, 4), argv
 
 
-_NAN_TERMS = SimpleNamespace(term1=math.nan, term2=math.nan, term3=math.nan)
-
-
 @pytest.mark.parametrize("argv,module,name,nan_result,key", [
     (["check", "cdi", "--N", "3", "--n", "6", "--L", "1"],
      "sphefaffian.cdi", "cdi_residual", math.nan, "max_residual"),
@@ -269,7 +265,7 @@ _NAN_TERMS = SimpleNamespace(term1=math.nan, term2=math.nan, term3=math.nan)
     (["check", "sop-equiv", "--N", "5", "--n", "9", "--L", "2.5"],
      "sphefaffian.finitekernel", "route_gap", math.nan, "max_relative_error"),
     (["check", "beta", "--N", "4", "--n", "9", "--L", "1.5"],
-     "sphefaffian.cdi", "cdi_rhs_beta_form", _NAN_TERMS, "max_relative_error"),
+     "sphefaffian.cdi", "reg_inc_beta", (0.0, math.nan), "max_relative_error"),
 ], ids=["cdi", "ode", "sop-equiv", "beta"])
 def test_nan_residual_fails_the_check(argv, module, name, nan_result, key, monkeypatch, capsys):
     # the builtin max drops a NaN (max(0.0, nan) is 0.0): a NaN residual must
@@ -284,7 +280,9 @@ def test_nan_residual_fails_the_check(argv, module, name, nan_result, key, monke
 _KEYS = ["version", "check", "passed"]
 
 # the README's four checks: argv, report keys, the library residual of a
-# (z, w) pair, the number of points, and the module function a NaN is patched into
+# (z, w) pair, the number of points, and the per-point module function a NaN
+# is patched into (for beta the beta form's terms: reg_inc_beta runs six
+# times per point)
 _README_CHECKS = {
     "cdi": (["check", "cdi", "--N", "3", "--n", "6", "--L", "1"],
             _KEYS + ["max_residual", "tolerance"],
@@ -302,7 +300,7 @@ _README_CHECKS = {
     "beta": (["check", "beta", "--N", "4", "--n", "9", "--L", "1.5"],
              _KEYS + ["max_relative_error", "tolerance"],
              lambda z, w: cdi.beta_gap(EnsembleParams(4, 9.0, 1.5), z, w), 15,
-             cdi, "cdi_rhs_beta_form", _NAN_TERMS),
+             cdi, "_log_beta_terms", [(0.0, math.nan)] * 3),
 }
 
 

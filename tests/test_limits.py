@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -297,6 +298,22 @@ class TestOrigin:
     def test_kernel_outside_double_range_is_typed(self, L, z, w):
         with pytest.raises(DoubleRangeError):
             kappa_origin(L, z, w)
+
+    def test_integrand_overflow_is_typed_at_the_first_rule(self, monkeypatch):
+        # e^{z^2} and E_{2,5}((2 s z w)^2) overflow on the first rule's nodes:
+        # no numpy warning and no doubling to a NaN Gauss gap
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return mittag_leffler(*args)
+
+        monkeypatch.setattr(limits, "mittag_leffler", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DoubleRangeError):
+                kappa_origin(2.0, 20.0, 19.8)
+        assert len(calls) == 1
 
 
 class TestOde:
