@@ -25,20 +25,23 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, rgamma
+from scipy.special import rgamma
 
 from .errors import DomainError, PoleError
-from .finitekernel import _kernel_dzeta_scaled, _log, _power_sum, _zoom
+from .finitekernel import _kernel_dzeta_scaled, _log, _log_coeff_arrays, _power_sum, _zoom
 from .params import EnsembleParams, Origin, RegimeSpec, Strong, Weak
 from .specfun import (
     _common_scale,
+    _lbeta,
     _relative_gap,
     _unscale,
     erfc_c,
     inc_gamma_entire_part,
     reg_inc_beta,
+    reg_inc_gamma_p,
 )
 
 __all__ = [
@@ -90,19 +93,35 @@ def _power(lc: float, e: float, lz):
     return (lc, 1.0) if e == 0 else (0.0, 0.0)
 
 
+@lru_cache(maxsize=64)
+def _log_coefficients(N: int, n: float, L: float):
+    """The identity's log coefficients from _lbeta, once per (N, n, L): the
+    j-array of the I-sum, the k-arrays of the II- and III-sums, and the
+    constants of the II and III prefactors (None for III at L = 0).  Sums of
+    three gammaln of n+L in the thousands lose 1e-11 to cancellation."""
+    nl = n + L
+    la, lb, _ = _log_coeff_arrays(N, n, L)
+    j, lh = np.arange(2 * N, dtype=float), math.log(nl + 0.5)
+    # log pi Gamma(2n+2L+2) / (4^{n+L} Gamma(n+L+1/2)^2), by Legendre's duplication
+    lc = _LOG_PI + math.log(2 * nl + 1) - float(_lbeta(nl + 0.5, 0.5))
+    return (-_lbeta(j + 2 * L + 1, 2 * n - j) - math.log(2 * nl), lb - lh, la - lh,
+            lc - float(_lbeta(N + L + 0.5, n - N)),
+            lc - float(_lbeta(L, n + 0.5)) if L > 0 else None)
+
+
 def _log_prefactors(params: EnsembleParams, zeta: complex, eta: complex):
     """Prefactors of I_N, II_N, III_N as (scale, mantissa) pairs: the constant
     (2n+2L+1)(n+L), and zeta^{2N+2L} and zeta^{2L-1} times gamma ratios,
     1/Gamma(L) making III vanish at L = 0."""
-    n, L, N, nl = params.n, params.L, params.N, params.nl
+    L, N, nl = params.L, params.N, params.nl
     if 1.0 + zeta * eta == 0 or 1.0 + eta * eta == 0:
         raise PoleError("CDI sums have a pole at zeta*eta = -1 or eta = +-i")
     lz = _log(zeta)
-    lc = _LOG_PI + gammaln(2 * nl + 2) - 2 * nl * math.log(2.0) - gammaln(nl + 0.5)
+    *_, l2, l3 = _log_coefficients(N, params.n, L)
     return (
         (math.log(2 * nl + 1) + math.log(nl), 1.0),
-        _power(lc - gammaln(N + L + 0.5) - gammaln(n - N), 2 * N + 2 * L, lz),
-        _power(lc - gammaln(n + 0.5) - gammaln(L), 2 * L - 1, lz) if L > 0 else (0.0, 0.0),
+        _power(l2, 2 * N + 2 * L, lz),
+        _power(l3, 2 * L - 1, lz) if L > 0 else (0.0, 0.0),
     )
 
 
@@ -116,16 +135,16 @@ def _log_sums(params: EnsembleParams, zeta: complex, eta: complex):
         II:  sum_{k<N} Gamma(n+L+1/2) / (Gamma(k+L+1) Gamma(n-k+1/2)) eta^{2k+2L}
         III: sum_{k<N} Gamma(n+L+1/2) / (Gamma(k+L+3/2) Gamma(n-k)) eta^{2k+2L+1}
     """
-    n, L, N, nl = params.n, params.L, params.N, params.nl
+    L, N = params.L, params.N
     le = _log(eta)
     lze = None if zeta == 0 or le is None else cmath.log(zeta) + le
+    a1, a2, a3, *_ = _log_coefficients(N, params.n, L)
     j = np.arange(2 * N, dtype=float)
     k = j[:N]
-    lg = gammaln(nl + 0.5)
     return list(zip(_log_prefactors(params, zeta, eta), (
-        _power_sum(gammaln(2 * nl) - gammaln(j + 2 * L + 1) - gammaln(2 * n - j), j + 2 * L, lze),
-        _power_sum(lg - gammaln(k + L + 1.0) - gammaln(n - k + 0.5), 2 * k + 2 * L, le),
-        _power_sum(lg - gammaln(k + L + 1.5) - gammaln(n - k), 2 * k + 2 * L + 1, le),
+        _power_sum(a1, j + 2 * L, lze),
+        _power_sum(a2, 2 * k + 2 * L, le),
+        _power_sum(a3, 2 * k + 2 * L + 1, le),
     )))
 
 
@@ -282,13 +301,7 @@ def limiting_f(regime: RegimeSpec, z: complex, w: complex) -> complex:
         # (exact entire power for integer 2L); P(L+1/2, w^2) taken in its
         # odd-in-w continuation w^{2L+1} e^{-w^2} E_{L+1/2}(w^2), which is
         # what the identity analytically continues to off the real axis.
-        zw = z * w
-        first *= (
-            cmath.exp(2 * L * cmath.log(2 * zw) - 2 * zw)
-            * inc_gamma_entire_part(2 * L, 2 * zw)
-            if zw != 0
-            else 0.0
-        )
+        first *= reg_inc_gamma_p(2 * L, 2 * z * w)
         if z == 0:
             if L < 0.5:
                 raise PoleError("F_origin diverges at z = 0 for 0 < L < 1/2")

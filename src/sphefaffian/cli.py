@@ -193,7 +193,7 @@ def cmd_kernel(args) -> int:
                 errs = _grid_values(axis, lambda z: abs(
                     np.exp(z * z + w * w) * rescaled_kernel(params, regime, z, w)
                     - kappa(spec, z, w)))
-                sups.append(max([0.0] + [e for _, _, e in errs]))
+                sups.append(_worst([e for _, _, e in errs]))
             payload = {"meta": meta, "N": ns, "sup_error": sups,
                        "monotone": all(a > b for a, b in zip(sups, sups[1:]))}
             _write_json(out + ".compare.json", payload)

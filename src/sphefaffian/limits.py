@@ -1,11 +1,19 @@
-"""The three universal limiting kernels and their correlation assemblies.
+"""The four universal limiting kernels (strong bulk and edge, weak, origin)
+and their correlation assemblies.
 
 Each kernel kappa is antisymmetric, and the damped combination
 K(z,w) = e^{-z^2-w^2} kappa(z,w) solves dK/dz = F(z,w) with K(w,w) = 0,
 where F is the matching inhomogeneity from the rescaled finite-N identity.
 ``ode_residual`` verifies exactly that, with a finite-difference dK/dz.
-The edge, weak and origin kernels use fixed Gauss rules on node arrays
-(``specfun._gauss``); the origin's second route keeps adaptive ``quad``.
+
+``_kappa_scaled`` is the one dispatch on the kind: kappa in specfun's
+(scale, mantissa) convention, the scale holding e^{z^2+w^2} (or the
+origin's (2zw)^{2L} e^{z^2 or w^2}).  ``kappa``, K and ``limit_rk``'s
+entries all leave it through ``specfun._unscale``, so a damping factor
+cancels the scale inside one exp, and DoubleRangeError is raised only
+where the value itself lies outside double range.  The edge, weak and
+origin kernels use fixed Gauss rules on node arrays (``specfun._gauss``);
+the origin's second route keeps adaptive ``quad``.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ __all__ = [
     "limit_rk",
 ]
 
-_SQRT_PI = math.sqrt(math.pi)
+_LOG_2, _LOG_PI = math.log(2.0), math.log(math.pi)
 _KINDS = ("strong_bulk", "strong_edge", "weak", "origin")
 _LEGENDRE_NODES = 32  # first n of the Wronskian's Gauss-Legendre rules
 
@@ -97,11 +105,9 @@ def _cquad(f, lo: float, hi: float) -> complex:
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
         try:
-            re = quad(lambda u: f(u).real, lo, hi, epsabs=1e-12, epsrel=1e-11, limit=300)[0]
-            im = quad(lambda u: f(u).imag, lo, hi, epsabs=1e-12, epsrel=1e-11, limit=300)[0]
+            return quad(f, lo, hi, epsabs=1e-12, epsrel=1e-11, limit=300, complex_func=True)[0]
         except IntegrationWarning as exc:
             raise QuadratureError(f"adaptive quadrature on [{lo}, {hi}] failed: {exc}") from exc
-    return re + 1j * im
 
 
 def wronskian_integral(z: complex, w: complex, lo: float, hi: float) -> complex:
@@ -119,61 +125,69 @@ def _cutoff(z: complex, w: complex) -> float:
     return 8.0 + abs(complex(z).real) + abs(complex(w).real)
 
 
-def kappa_strong(spec: LimitKernelSpec, z: complex, w: complex) -> complex:
-    """Strong non-unitarity kernel; bulk short-circuits to the erf form."""
-    if spec.kind not in ("strong_bulk", "strong_edge"):
-        raise DomainError(f"kappa_strong needs a strong spec, got {spec.kind}")
+def _kappa_scaled(spec: LimitKernelSpec, z: complex, w: complex):
+    """kappa(z, w) as (scale, mantissa), kappa = exp(scale) * mantissa: the one
+    dispatch on spec.kind.  The scale carries the factor that leaves double
+    range, sqrt(pi) e^{z^2+w^2}, or 2 (2zw)^{2L} e^c at the origin."""
     z, w = complex(z), complex(w)
-    pref = _SQRT_PI * cmath.exp(z * z + w * w)
-    if spec.kind == "strong_bulk":
-        return pref * erf_c(z - w)
-    u0 = _cutoff(z, w)
-    return pref * wronskian_integral(z, w, -u0, 0.0)
-
-
-def kappa_weak(rho: float, z: complex, w: complex) -> complex:
-    """Almost-circular kernel: finite Wronskian integral plus boundary terms."""
-    if not rho > 0:
-        raise DomainError(f"kappa_weak needs rho > 0, got {rho}")
-    z, w = complex(z), complex(w)
-    half_width = rho / (2.0 * math.sqrt(2.0))
-    integral = wronskian_integral(z, w, -half_width, half_width)
-    boundary = f_profile(w, half_width) * f_profile(z, -half_width) - f_profile(
-        z, half_width
-    ) * f_profile(w, -half_width)
-    return _SQRT_PI * cmath.exp(z * z + w * w) * (integral + boundary)
-
-
-def kappa_origin(L: float, z: complex, w: complex) -> complex:
-    """Spectral-singularity kernel via the Mittag-Leffler quadrature, Gauss-Jacobi in s^{2L}."""
-    if L < 0:
-        raise DomainError(f"kappa_origin needs L >= 0, got {L}")
-    z, w = complex(z), complex(w)
-    zw = z * w
+    if spec.kind != "origin":
+        scale = z * z + w * w + 0.5 * _LOG_PI
+        if spec.kind == "strong_bulk":
+            return scale, erf_c(z - w)
+        if spec.kind == "strong_edge":
+            return scale, wronskian_integral(z, w, -_cutoff(z, w), 0.0)
+        # weak: the finite Wronskian integral plus its boundary terms
+        h = spec.rho / (2.0 * math.sqrt(2.0))
+        boundary = f_profile(w, h) * f_profile(z, -h) - f_profile(z, h) * f_profile(w, -h)
+        return scale, wronskian_integral(z, w, -h, h) + boundary
+    L, zw = spec.L, z * w
     if L > 0:
         if zw == 0:
-            return 0.0 + 0.0j
+            return 0.0, 0.0j
         if (2 * L) != int(2 * L) and zw.real < 0 and abs(zw.imag) <= 1e-12 * abs(zw):
             warnings.warn(
                 "z*w on the negative real axis with non-integer 2L: "
                 "principal branch of (2zw)^{2L} is discontinuous here",
                 BranchWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
-    log_pref = 2.0 * L * cmath.log(2.0 * zw) if L > 0 else 0.0
+    # e^c, c the one of z^2, w^2 with the larger real part, moves from the envelope to the scale
+    c = max(z * z, w * w, key=lambda v: v.real)
 
     def integrand(s):
         with np.errstate(over="raise"):
-            envelope = z * np.exp((1 - s * s) * z * z) - w * np.exp((1 - s * s) * w * w)
+            envelope = z * np.exp((1 - s * s) * z * z - c) - w * np.exp((1 - s * s) * w * w - c)
             # / (2L+1), the mass of s^{2L}: _gauss averages over the weight
             return envelope * mittag_leffler(2.0, 1.0 + 2 * L, (2.0 * s * zw) ** 2) / (1 + 2 * L)
 
     try:
         integral = _gauss(integrand, 2 * L, 0.0, _JACOBI_NODES)
-    except FloatingPointError as exc:  # e^{z^2} or the series overflowed on a node
+    except FloatingPointError as exc:  # the envelope or the series overflowed on a node
         raise DoubleRangeError(f"kappa_origin integrand lies outside double range: {exc}") from exc
-    # (2zw)^{2L} meets the integral in one exp: DoubleRangeError only off double range
-    return 2.0 * _unscale(log_pref, integral)
+    return _LOG_2 + (2.0 * L * cmath.log(2.0 * zw) if L > 0 else 0.0) + c, integral
+
+
+def kappa(spec: LimitKernelSpec, z: complex, w: complex) -> complex:
+    """The limit kernel selected by spec, exponentiated once: DoubleRangeError
+    where kappa itself lies outside double range."""
+    return _unscale(*_kappa_scaled(spec, z, w))
+
+
+def kappa_strong(spec: LimitKernelSpec, z: complex, w: complex) -> complex:
+    """Strong non-unitarity kernel: bulk by the erf form, edge by the Wronskian over (-inf, 0)."""
+    if spec.kind not in ("strong_bulk", "strong_edge"):
+        raise DomainError(f"kappa_strong needs a strong spec, got {spec.kind}")
+    return kappa(spec, z, w)
+
+
+def kappa_weak(rho: float, z: complex, w: complex) -> complex:
+    """Almost-circular kernel: finite Wronskian integral plus boundary terms."""
+    return kappa(LimitKernelSpec("weak", rho=rho), z, w)
+
+
+def kappa_origin(L: float, z: complex, w: complex) -> complex:
+    """Spectral-singularity kernel via the Mittag-Leffler quadrature, Gauss-Jacobi in s^{2L}."""
+    return kappa(LimitKernelSpec("origin", L=L), z, w)
 
 
 def kappa_origin_gamma_form(L: float, z: complex, w: complex) -> complex:
@@ -189,11 +203,7 @@ def kappa_origin_gamma_form(L: float, z: complex, w: complex) -> complex:
     phase = cmath.exp(-2.0j * math.pi * L)
 
     def p_reg(c, x):
-        if c == 0:
-            return 1.0 + 0.0j
-        if x == 0:
-            return 0.0 + 0.0j
-        return reg_inc_gamma_p(c, x)
+        return 1.0 + 0.0j if c == 0 else reg_inc_gamma_p(c, x)
 
     def integrand(s):
         envelope = z * cmath.exp((1 - s * s) * z * z) - w * cmath.exp((1 - s * s) * w * w)
@@ -205,18 +215,9 @@ def kappa_origin_gamma_form(L: float, z: complex, w: complex) -> complex:
     return _cquad(integrand, 0.0, 1.0)
 
 
-def kappa(spec: LimitKernelSpec, z: complex, w: complex) -> complex:
-    """Dispatch to the limit kernel selected by spec."""
-    if spec.kind in ("strong_bulk", "strong_edge"):
-        return kappa_strong(spec, z, w)
-    if spec.kind == "weak":
-        return kappa_weak(spec.rho, z, w)
-    return kappa_origin(spec.L, z, w)
-
-
 def _k_damped(spec: LimitKernelSpec, z: complex, w: complex) -> complex:
     z, w = complex(z), complex(w)
-    return cmath.exp(-z * z - w * w) * kappa(spec, z, w)
+    return _unscale(*_kappa_scaled(spec, z, w), -z * z - w * w)
 
 
 def ode_residual(spec: LimitKernelSpec, z: complex, w: complex):
@@ -238,6 +239,6 @@ def limit_rk(spec: LimitKernelSpec, points) -> float:
     """k-point limiting intensity via the 2k x 2k Pfaffian assembly."""
 
     def entry(x: complex, y: complex) -> complex:
-        return cmath.exp(-abs(x) ** 2 - abs(y) ** 2) * kappa(spec, x, y)
+        return _unscale(*_kappa_scaled(spec, x, y), -abs(x) ** 2 - abs(y) ** 2)
 
     return pfaffian_intensity(points, entry, tol=1e-8)

@@ -115,28 +115,9 @@ def asymptotic_mean(params: EnsembleParams, stat: RadialStatistic) -> float:
     return 2.0 * params.nl * mean
 
 
-def asymptotic_variance(
-    params: EnsembleParams, stat: RadialStatistic, method: str = "radial"
-) -> float:
-    """Limiting variance of B.
-
-    method='radial': (1/4) int_{r1}^{r2} r b'(r)^2 dr.
-    method='surface': (1/8) int_S |grad b|^2 dA evaluated as a genuine 2D
-    quadrature; equals the radial form and serves as its cross-check.
-    """
-    if method == "radial":
-        return 0.25 * _droplet_integral(params, lambda r: r * stat.b_prime(r) ** 2, "variance")
-    if method == "surface":
-        from scipy.integrate import dblquad
-
-        geo = droplet(params)
-        val, err = dblquad(
-            lambda theta, r: r * stat.b_prime(r) ** 2 / math.pi,
-            geo.r1, geo.r2, 0.0, 2.0 * math.pi,
-            epsabs=1e-12, epsrel=1e-11,
-        )
-        return 0.125 * val
-    raise DomainError(f"unknown variance method {method!r}")
+def asymptotic_variance(params: EnsembleParams, stat: RadialStatistic) -> float:
+    """Limiting variance of B, (1/4) int_{r1}^{r2} r b'(r)^2 dr."""
+    return 0.25 * _droplet_integral(params, lambda r: r * stat.b_prime(r) ** 2, "variance")
 
 
 @dataclass(frozen=True)

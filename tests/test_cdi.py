@@ -75,6 +75,36 @@ class TestIdentity:
         assert cmath.isfinite(direct)
         assert abs(direct - beta) <= 1e-11 * abs(direct)
 
+    def test_terms_match_log_gamma_oracle_at_large_n(self):
+        # I, II, III at N = 1600 against their defining gamma sums in 40-digit
+        # mpmath; at positive zeta, eta no sum cancels, so the gap is the
+        # coefficients' own (gammaln differences of n+L ~ 5e3 lose 2e-11)
+        mpmath = pytest.importorskip("mpmath")
+        N, n, L, zeta, eta = 1600, 3200.0, 1600.0, 0.9, 0.8
+        with mpmath.workdps(40):
+            lg, nl = mpmath.loggamma, mpmath.mpf(n + L)
+            lz, le = mpmath.log(zeta), mpmath.log(eta)
+            lc = mpmath.log(mpmath.pi) + lg(2 * nl + 2) - 2 * nl * mpmath.log(2) - lg(nl + 0.5)
+            lw = -(nl - 0.5) * mpmath.log(1 + eta * eta)
+
+            def log_sum(coeff, power, count):
+                return mpmath.log(mpmath.fsum(mpmath.exp(coeff(k) + power(k)) for k in range(count)))
+
+            want = [
+                lw + mpmath.log((2 * nl + 1) * nl) + log_sum(
+                    lambda j: lg(2 * nl) - lg(j + 2 * L + 1) - lg(2 * n - j),
+                    lambda j: (j + 2 * L) * (lz + le), 2 * N),
+                lw + lc - lg(N + L + 0.5) - lg(n - N) + (2 * N + 2 * L) * lz + log_sum(
+                    lambda k: lg(nl + 0.5) - lg(k + L + 1) - lg(n - k + 0.5),
+                    lambda k: (2 * k + 2 * L) * le, N),
+                lw + lc - lg(n + 0.5) - lg(L) + (2 * L - 1) * lz + log_sum(
+                    lambda k: lg(nl + 0.5) - lg(k + L + 1.5) - lg(n - k),
+                    lambda k: (2 * k + 2 * L + 1) * le, N),
+            ]
+            terms = cdi._log_terms(EnsembleParams(N=N, n=n, L=L), zeta, eta)
+            gaps = [abs(mpmath.exp(scale - ref) * mant - 1) for (scale, mant), ref in zip(terms, want)]
+        assert max(gaps) <= 5e-12, gaps
+
     def test_identity_second_parameter_set(self):
         # (1+z^2) d khat - 2 z (n+L-1/2) khat equals the three raw sums,
         # checked through the weighted form: both sides here are the full

@@ -146,6 +146,25 @@ class TestKernel:
         assert payload["N"] == [10, 20]
         assert payload["sup_error"][0] > payload["sup_error"][1]
 
+    def test_compare_nan_point_is_reported(self, tmp_path, monkeypatch):
+        # a NaN kernel value at one grid point must not drop out of the sup
+        kernel = finitekernel.rescaled_kernel
+
+        def nan_at_origin(params, regime, z, w):
+            return math.nan if z == 0 else kernel(params, regime, z, w)
+
+        monkeypatch.setattr(finitekernel, "rescaled_kernel", nan_at_origin)
+        monkeypatch.chdir(tmp_path)
+        rc = main([
+            "kernel", "--regime", "strong", "--a", "1", "--b", "1", "--p", "1",
+            "--N", "10", "--compare", "--N-list", "10,20",
+            "--grid", "-0.4:0.4:0.4", "--out", "cmp",
+        ])
+        assert rc == 0
+        payload = json.loads((tmp_path / "cmp.compare.json").read_text())
+        assert all(math.isnan(e) for e in payload["sup_error"])
+        assert payload["monotone"] is False
+
 
 class TestCheck:
     def test_cdi_passes(self, capsys):

@@ -33,6 +33,8 @@ from sphefaffian.specfun import erfc_c, mittag_leffler
 
 BULK = LimitKernelSpec("strong_bulk")
 EDGE = LimitKernelSpec("strong_edge")
+WEAK = LimitKernelSpec("weak", rho=2.0)
+ORIGIN = LimitKernelSpec("origin", L=2.0)
 
 # three points close enough that R3 cancels far below its entries:
 # strong edge (perfbench seed 9) and weak rho=2 (perfbench seed 901)
@@ -49,7 +51,7 @@ CLOSE_POINTS = [
 def _limit_entry(spec):
     # the entry function limit_rk hands to pfaffian_intensity
     def entry(x, y):
-        return cmath.exp(-abs(x) ** 2 - abs(y) ** 2) * kappa(spec, x, y)
+        return specfun._unscale(*limits._kappa_scaled(spec, x, y), -abs(x) ** 2 - abs(y) ** 2)
 
     return entry
 
@@ -314,6 +316,44 @@ class TestOrigin:
             with pytest.raises(DoubleRangeError):
                 kappa_origin(2.0, 20.0, 19.8)
         assert len(calls) == 1
+
+
+class TestDoubleRange:
+    """Far from the origin e^{z^2+w^2} leaves double range on its own; the
+    kernel, its damped form and the intensities need not."""
+
+    @pytest.mark.parametrize("spec", [BULK, ORIGIN], ids=lambda s: s.kind)
+    def test_kappa_beyond_double_range_is_typed(self, spec):
+        # sqrt(pi) e^{729} erf(26.9) for the bulk; the origin's is as large
+        with pytest.raises(DoubleRangeError) as info:
+            kappa(spec, 27.0, 0.1)
+        assert info.type is DoubleRangeError
+
+    @pytest.mark.parametrize("spec", [EDGE, WEAK], ids=lambda s: s.kind)
+    def test_kappa_below_double_range_is_not_an_error(self, spec):
+        # 30-digit mpmath: 1.4e-319 (edge) and 1.5e-286 (weak), although the
+        # factor e^{729} alone overflows
+        assert abs(kappa(spec, 27.0, 0.1)) <= 1e-280
+
+    def test_bulk_one_point_is_translation_invariant(self):
+        # R1(x + iy) of the bulk does not depend on x; the entry's damping
+        # cancels e^{2 Re z^2} inside one exp
+        want = limit_rk(BULK, [0.5j])
+        for x in (19.0, 27.0, 100.0):
+            assert limit_rk(BULK, [x + 0.5j]) == pytest.approx(want, rel=1e-11)
+        pair = [0.5j, 0.8 - 0.3j]
+        assert limit_rk(BULK, [p + 27.0 for p in pair]) == pytest.approx(
+            limit_rk(BULK, pair), rel=1e-11)
+
+    @pytest.mark.parametrize("spec", [EDGE, WEAK], ids=lambda s: s.kind)
+    def test_one_point_outside_the_droplet_vanishes(self, spec):
+        assert 0.0 <= limit_rk(spec, [27.0 + 0.5j]) < 1e-12
+
+    @pytest.mark.parametrize("spec", [BULK, EDGE, WEAK, ORIGIN], ids=lambda s: s.kind)
+    def test_ode_residual_is_finite_far_out(self, spec):
+        resid, diag = ode_residual(spec, 27.0 + 0.1j, 0.1)
+        assert math.isfinite(resid) and resid < 1e-6
+        assert diag < 1e-12
 
 
 class TestOde:

@@ -163,13 +163,6 @@ class TestAsymptotics:
         want = (geo.r2 ** 4 - geo.r1 ** 4) / 4.0
         assert asymptotic_variance(pa, R2) == pytest.approx(want, rel=1e-12)
 
-    def test_surface_form_equals_radial(self):
-        pa = EnsembleParams(N=8, n=20.0, L=3.0)
-        sin_stat = RadialStatistic(b=math.sin, b_prime=math.cos, label="sin")
-        a = asymptotic_variance(pa, sin_stat, method="radial")
-        b = asymptotic_variance(pa, sin_stat, method="surface")
-        assert a == pytest.approx(b, rel=1e-10)
-
     def test_variance_independent_of_N_at_fixed_regime(self):
         reg = Strong(a=1.0, b=1.0, p=1.0)
         vals = [asymptotic_variance(reg.params_at(N), R2) for N in (20, 40, 80)]
