@@ -65,9 +65,6 @@ from .limits import (
     LimitKernelSpec,
     f_profile,
     kappa,
-    kappa_origin,
-    kappa_strong,
-    kappa_weak,
     limit_rk,
     ode_residual,
 )

@@ -1,6 +1,6 @@
 """Christoffel-Darboux identity: closed right-hand sides for the kernel
 derivative, their incomplete-beta resummations, the rescaled six-factor
-form and the three limiting inhomogeneities.
+form and the limiting inhomogeneity of each limit kind.
 
 The identity reads
 
@@ -32,7 +32,7 @@ from scipy.special import rgamma
 
 from .errors import DomainError, PoleError
 from .finitekernel import _kernel_dzeta_scaled, _log, _log_coeff_arrays, _power_sum, _zoom
-from .params import EnsembleParams, Origin, RegimeSpec, Strong, Weak
+from .params import EnsembleParams, RegimeSpec
 from .specfun import (
     _common_scale,
     _lbeta,
@@ -275,25 +275,29 @@ def rescaled_cdi_terms(
     )
 
 
-def limiting_f(regime: RegimeSpec, z: complex, w: complex) -> complex:
-    """Limiting inhomogeneity F of the kernel ODE for the given regime."""
+def limiting_f(spec, z: complex, w: complex) -> complex:
+    """Limiting inhomogeneity F of the kernel ODE dK/dz = F for spec.kind, from a
+    regime or a limits.LimitKernelSpec alike; the inner edge's F is the outer's
+    at (-z, -w)."""
     z, w = complex(z), complex(w)
-    if isinstance(regime, Strong):
-        if not regime.at_edge:
-            return 2.0 * cmath.exp(-((z - w) ** 2))
+    if spec.kind == "strong_bulk":
+        return 2.0 * cmath.exp(-((z - w) ** 2))
+    if spec.kind == "strong_inner_edge":
+        z, w = -z, -w
+    if spec.kind in ("strong_edge", "strong_inner_edge"):
         return cmath.exp(-((z - w) ** 2)) * erfc_c(z + w) - cmath.exp(
             -2.0 * z * z
         ) / math.sqrt(2.0) * erfc_c(math.sqrt(2.0) * w)
-    if isinstance(regime, Weak):
-        rho = regime.rho
+    if spec.kind == "weak":
+        rho = spec.rho
         g1 = erfc_c(z + w - rho / math.sqrt(2.0)) - erfc_c(z + w + rho / math.sqrt(2.0))
         g2 = erfc_c(math.sqrt(2.0) * w - rho / 2.0) - erfc_c(math.sqrt(2.0) * w + rho / 2.0)
         gauss = cmath.exp(-((math.sqrt(2.0) * z - rho / 2.0) ** 2)) + cmath.exp(
             -((math.sqrt(2.0) * z + rho / 2.0) ** 2)
         )
         return cmath.exp(-((z - w) ** 2)) * g1 - gauss * g2 / math.sqrt(2.0)
-    if isinstance(regime, Origin):
-        L = regime.L
+    if spec.kind == "origin":
+        L = spec.L
         first = 2.0 * cmath.exp(-((z - w) ** 2))
         if L == 0:
             return first  # P(0, .) == 1 and 1/Gamma(0) == 0 conventions
@@ -315,4 +319,4 @@ def limiting_f(regime: RegimeSpec, z: complex, w: complex) -> complex:
         )
         second = 2.0 * math.sqrt(math.pi) * float(rgamma(L)) * zpow * p_odd
         return first - second
-    raise DomainError(f"unknown regime {regime!r}")
+    raise DomainError(f"unknown limit kind {spec.kind!r}")

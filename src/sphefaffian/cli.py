@@ -186,13 +186,12 @@ def cmd_kernel(args) -> int:
                 ns = [int(tok) for tok in args.N_list.split(",")]
             except ValueError as exc:
                 raise SystemExit2(f"bad --N-list {args.N_list!r}") from exc
-            spec = _limit_spec_for(regime)
             sups = []
             for n_size in ns:
                 params = regime.params_at(n_size)
                 errs = _grid_values(axis, lambda z: abs(
                     np.exp(z * z + w * w) * rescaled_kernel(params, regime, z, w)
-                    - kappa(spec, z, w)))
+                    - kappa(regime, z, w)))
                 sups.append(_worst([e for _, _, e in errs]))
             payload = {"meta": meta, "N": ns, "sup_error": sups,
                        "monotone": all(a > b for a, b in zip(sups, sups[1:]))}
@@ -211,34 +210,16 @@ def cmd_kernel(args) -> int:
     return 0
 
 
-# CLI limit names and the LimitKernelSpec kinds they select
-_LIMIT_KINDS = {"strong-bulk": "strong_bulk", "strong-edge": "strong_edge",
-                "weak": "weak", "origin": "origin"}
+# the CLI names of the limit kinds: --limit and check ode --variant choices
+_LIMIT_NAMES = [kind.replace("_", "-") for kind in limits._KINDS]
 
 
 def _named_limit_spec(flag: str, name: str, args):
-    from .limits import LimitKernelSpec
-
-    kind = _LIMIT_KINDS.get(name)
-    if kind is None:
-        raise SystemExit2(f"unknown {flag} {name!r} (use one of {', '.join(_LIMIT_KINDS)})")
-    if kind == "weak":
-        if not args.rho:
-            raise SystemExit2(f"{flag} {name} needs its parameter (--rho)")
-        return LimitKernelSpec(kind, rho=args.rho)
-    if kind == "origin":
-        return LimitKernelSpec(kind, L=float(args.L))
-    return LimitKernelSpec(kind)
-
-
-def _limit_spec_for(regime):
-    from .limits import LimitKernelSpec
-
-    if isinstance(regime, Strong):
-        return LimitKernelSpec("strong_edge" if regime.at_edge else "strong_bulk")
-    if isinstance(regime, Weak):
-        return LimitKernelSpec("weak", rho=regime.rho)
-    return LimitKernelSpec("origin", L=regime.L)
+    kind = name.replace("-", "_")
+    if kind == "weak" and not args.rho:
+        raise SystemExit2(f"{flag} {name} needs its parameter (--rho)")
+    return limits.LimitKernelSpec(kind, rho=args.rho if kind == "weak" else None,
+                                  L=float(args.L) if kind == "origin" else None)
 
 
 def _worst(residuals) -> float:
@@ -397,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pk = sub.add_parser("kernel", help="tabulate finite-N or limiting kernels")
     add_params(pk)
-    pk.add_argument("--limit", choices=list(_LIMIT_KINDS), default=None)
+    pk.add_argument("--limit", choices=_LIMIT_NAMES, default=None)
     pk.add_argument("--grid", default="-1:1:0.25")
     pk.add_argument("--w-point", dest="w_point", default="0.1,0.0")
     pk.add_argument("--r1", action="store_true",
@@ -413,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--N", type=int, default=3)
     pc.add_argument("--n", type=float, default=6.0)
     pc.add_argument("--L", type=float, default=1.0)
-    pc.add_argument("--variant", default="strong-bulk")
+    pc.add_argument("--variant", choices=_LIMIT_NAMES, default="strong-bulk")
     pc.add_argument("--rho", type=float, default=None)
     pc.add_argument("--tol", type=float, default=None)
     pc.add_argument("--out", default=None)

@@ -1,19 +1,22 @@
-"""The four universal limiting kernels (strong bulk and edge, weak, origin)
-and their correlation assemblies.
+"""The universal limiting kernels of five kinds (``_KINDS``: strong bulk,
+outer edge r2, inner edge r1, weak, origin) and their correlation assemblies.
 
 Each kernel kappa is antisymmetric, and the damped combination
 K(z,w) = e^{-z^2-w^2} kappa(z,w) solves dK/dz = F(z,w) with K(w,w) = 0,
 where F is the matching inhomogeneity from the rescaled finite-N identity.
 ``ode_residual`` verifies exactly that, with a finite-difference dK/dz.
 
-``_kappa_scaled`` is the one dispatch on the kind: kappa in specfun's
-(scale, mantissa) convention, the scale holding e^{z^2+w^2} (or the
-origin's (2zw)^{2L} e^{z^2 or w^2}).  ``kappa``, K and ``limit_rk``'s
-entries all leave it through ``specfun._unscale``, so a damping factor
-cancels the scale inside one exp, and DoubleRangeError is raised only
-where the value itself lies outside double range.  The edge, weak and
-origin kernels use fixed Gauss rules on node arrays (``specfun._gauss``);
-the origin's second route keeps adaptive ``quad``.
+A LimitKernelSpec or a regime (which names the kind of its own limit)
+selects a kernel: both carry ``.kind``, ``.rho`` and ``.L``.
+``_kappa_scaled`` is the one dispatch on the kind (cdi.limiting_f is the
+one for F): kappa in specfun's (scale, mantissa) convention, the scale
+holding e^{z^2+w^2} (or the origin's (2zw)^{2L} e^{z^2 or w^2}).
+``kappa``, K and ``limit_rk``'s entries all leave it through
+``specfun._unscale``, so a damping factor cancels the scale inside one
+exp, and DoubleRangeError is raised only where the value itself lies
+outside double range.  The edge, weak and origin kernels use fixed Gauss
+rules on node arrays (``specfun._gauss``); the origin's second route
+keeps adaptive ``quad``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from .cdi import limiting_f
 from .errors import BranchWarning, DomainError, DoubleRangeError, QuadratureError
-from .params import Origin, RegimeSpec, Strong, Weak
+from .params import RegimeSpec
 from .pfaffian import pfaffian_intensity
 from .specfun import (
     _JACOBI_NODES,
@@ -46,26 +49,24 @@ __all__ = [
     "f_profile_deriv",
     "wronskian_integral",
     "kappa",
-    "kappa_strong",
-    "kappa_weak",
-    "kappa_origin",
     "kappa_origin_gamma_form",
     "ode_residual",
     "limit_rk",
 ]
 
 _LOG_2, _LOG_PI = math.log(2.0), math.log(math.pi)
-_KINDS = ("strong_bulk", "strong_edge", "weak", "origin")
+_KINDS = ("strong_bulk", "strong_edge", "strong_inner_edge", "weak", "origin")
 _LEGENDRE_NODES = 32  # first n of the Wronskian's Gauss-Legendre rules
 
 
 @dataclass(frozen=True)
 class LimitKernelSpec:
-    """Selector for one of the universal limits.
+    """Selector for one of the universal limits, by a kind of _KINDS.
 
     kind 'weak' needs rho > 0; kind 'origin' needs L >= 0; the strong
     kinds carry no parameters (bulk integrates the Wronskian over the
-    whole line, edge over (-inf, 0)).
+    whole line, the outer edge over (-inf, 0); the inner edge is the outer
+    edge mirrored, kappa_edge(-w, -z)).
     """
 
     kind: str
@@ -79,16 +80,6 @@ class LimitKernelSpec:
             raise DomainError("weak limit needs rho > 0")
         if self.kind == "origin" and not (self.L is not None and self.L >= 0):
             raise DomainError("origin limit needs L >= 0")
-
-    def to_regime(self) -> RegimeSpec:
-        """A representative finite-N regime whose limit is this kernel."""
-        if self.kind == "strong_bulk":
-            return Strong(a=1.0, b=1.0, p=1.0)
-        if self.kind == "strong_edge":
-            return Strong(a=1.0, b=1.0, p=math.sqrt(2.0))  # p = r2
-        if self.kind == "weak":
-            return Weak(rho=self.rho)
-        return Origin(L=self.L, b=1.0)
 
 
 def f_profile(z: complex, u):
@@ -125,7 +116,7 @@ def _cutoff(z: complex, w: complex) -> float:
     return 8.0 + abs(complex(z).real) + abs(complex(w).real)
 
 
-def _kappa_scaled(spec: LimitKernelSpec, z: complex, w: complex):
+def _kappa_scaled(spec: LimitKernelSpec | RegimeSpec, z: complex, w: complex):
     """kappa(z, w) as (scale, mantissa), kappa = exp(scale) * mantissa: the one
     dispatch on spec.kind.  The scale carries the factor that leaves double
     range, sqrt(pi) e^{z^2+w^2}, or 2 (2zw)^{2L} e^c at the origin."""
@@ -134,6 +125,8 @@ def _kappa_scaled(spec: LimitKernelSpec, z: complex, w: complex):
         scale = z * z + w * w + 0.5 * _LOG_PI
         if spec.kind == "strong_bulk":
             return scale, erf_c(z - w)
+        if spec.kind == "strong_inner_edge":  # the outer edge mirrored
+            return scale, wronskian_integral(-w, -z, -_cutoff(z, w), 0.0)
         if spec.kind == "strong_edge":
             return scale, wronskian_integral(z, w, -_cutoff(z, w), 0.0)
         # weak: the finite Wronskian integral plus its boundary terms
@@ -163,31 +156,14 @@ def _kappa_scaled(spec: LimitKernelSpec, z: complex, w: complex):
     try:
         integral = _gauss(integrand, 2 * L, 0.0, _JACOBI_NODES)
     except FloatingPointError as exc:  # the envelope or the series overflowed on a node
-        raise DoubleRangeError(f"kappa_origin integrand lies outside double range: {exc}") from exc
+        raise DoubleRangeError(f"origin kernel integrand lies outside double range: {exc}") from exc
     return _LOG_2 + (2.0 * L * cmath.log(2.0 * zw) if L > 0 else 0.0) + c, integral
 
 
-def kappa(spec: LimitKernelSpec, z: complex, w: complex) -> complex:
-    """The limit kernel selected by spec, exponentiated once: DoubleRangeError
-    where kappa itself lies outside double range."""
+def kappa(spec: LimitKernelSpec | RegimeSpec, z: complex, w: complex) -> complex:
+    """The limit kernel selected by spec or a regime, exponentiated once:
+    DoubleRangeError where kappa itself lies outside double range."""
     return _unscale(*_kappa_scaled(spec, z, w))
-
-
-def kappa_strong(spec: LimitKernelSpec, z: complex, w: complex) -> complex:
-    """Strong non-unitarity kernel: bulk by the erf form, edge by the Wronskian over (-inf, 0)."""
-    if spec.kind not in ("strong_bulk", "strong_edge"):
-        raise DomainError(f"kappa_strong needs a strong spec, got {spec.kind}")
-    return kappa(spec, z, w)
-
-
-def kappa_weak(rho: float, z: complex, w: complex) -> complex:
-    """Almost-circular kernel: finite Wronskian integral plus boundary terms."""
-    return kappa(LimitKernelSpec("weak", rho=rho), z, w)
-
-
-def kappa_origin(L: float, z: complex, w: complex) -> complex:
-    """Spectral-singularity kernel via the Mittag-Leffler quadrature, Gauss-Jacobi in s^{2L}."""
-    return kappa(LimitKernelSpec("origin", L=L), z, w)
 
 
 def kappa_origin_gamma_form(L: float, z: complex, w: complex) -> complex:
@@ -230,7 +206,7 @@ def ode_residual(spec: LimitKernelSpec, z: complex, w: complex):
     z, w = complex(z), complex(w)
     h = 1e-5 * max(1.0, abs(z))
     dk = (_k_damped(spec, z + h, w) - _k_damped(spec, z - h, w)) / (2.0 * h)
-    f = limiting_f(spec.to_regime(), z, w)
+    f = limiting_f(spec, z, w)
     diag = abs(_k_damped(spec, w, w))
     return abs(dk - f), diag
 

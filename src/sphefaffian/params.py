@@ -93,12 +93,14 @@ class Strong:
         )
 
     @property
-    def at_edge(self) -> bool:
-        """Whether the zoom point p is an edge r1 or r2 of the limiting droplet."""
+    def kind(self) -> str:
+        """The limit kind at p: strong_inner_edge at r1, strong_edge at r2,
+        strong_bulk elsewhere.  The one place that tells edge from bulk."""
         radii = self.limit_radii
-        return any(
-            math.isclose(self.p, r, rel_tol=1e-12, abs_tol=1e-12) for r in (radii.r1, radii.r2)
-        )
+        for r, kind in ((radii.r1, "strong_inner_edge"), (radii.r2, "strong_edge")):
+            if math.isclose(self.p, r, rel_tol=1e-12, abs_tol=1e-12):
+                return kind
+        return "strong_bulk"
 
 
 @dataclass(frozen=True)
@@ -106,6 +108,7 @@ class Weak:
     """Weak non-unitarity (almost-circular): L = N^2/rho^2 - N, n = N^2/rho^2, p = 1."""
 
     rho: float
+    kind = "weak"  # a class constant, not a field
 
     def __post_init__(self):
         if self.rho <= 0:
@@ -131,6 +134,7 @@ class Origin:
 
     L: float
     b: float
+    kind = "origin"
 
     def __post_init__(self):
         if self.L < 0 or self.b <= 0:

@@ -45,9 +45,7 @@ from sphefaffian.cdi import cdi_residual, cdi_rhs, cdi_rhs_beta_form
 from sphefaffian.limits import (
     LimitKernelSpec,
     kappa,
-    kappa_origin,
     kappa_origin_gamma_form,
-    kappa_strong,
     ode_residual,
 )
 from sphefaffian.sampler import empirical_radial_density, sample_ensemble, to_sphere, \
@@ -151,13 +149,13 @@ def test_criterion_3_limit_kernel_odes():
     bulk = LimitKernelSpec("strong_bulk")
     for (z, w) in [(0.7, 0.2j), (0.3 + 0.1j, -0.4), (-0.2, 0.55)]:
         worst_l0 = max(
-            worst_l0, abs(kappa_origin(0.0, z, w) - kappa_strong(bulk, z, w))
+            worst_l0, abs(kappa(LimitKernelSpec("origin", L=0.0), z, w) - kappa(bulk, z, w))
         )
     # the two origin representations agree for integer 2L
     worst_rep = 0.0
     for twoL in (2, 4):
         for (z, w) in [(0.5, 0.3), (0.4 + 0.2j, 0.6)]:
-            a = kappa_origin(twoL / 2.0, z, w)
+            a = kappa(LimitKernelSpec("origin", L=twoL / 2.0), z, w)
             b = kappa_origin_gamma_form(twoL / 2.0, z, w)
             worst_rep = max(worst_rep, abs(a - b) / max(1.0, abs(a)))
     elapsed = time.time() - t0

@@ -317,3 +317,20 @@ class TestLimitingF:
             -2 * z * z
         ) / math.sqrt(2.0) * erfc_c(math.sqrt(2.0) * w)
         assert abs(limiting_f(reg, z, w) - want) < 1e-14
+
+    def test_inner_edge_form_is_the_outer_edge_mirrored(self):
+        inner = Strong(a=1.0, b=1.0, p=math.sqrt(0.5))  # p = r1
+        outer = Strong(a=1.0, b=1.0, p=math.sqrt(2.0))  # p = r2
+        for z, w in ((0.2, 0.1), (0.3 + 0.2j, -0.4 + 0.1j)):
+            assert limiting_f(inner, z, w) == limiting_f(outer, -z, -w)
+
+    def test_inner_edge_rescaled_identity_tends_to_its_f(self):
+        # at p = r1 the rescaled CDI converges at the edge's N^{-1/2} rate:
+        # 0.031 at N = 100, 0.0078 at N = 1600
+        reg = Strong(a=1.0, b=1.0, p=math.sqrt(0.5))
+        z, w = 0.3 + 0.2j, 0.1
+        want = limiting_f(reg, z, w)
+        errs = [abs(rescaled_cdi_terms(reg.params_at(N), reg, z, w).combined - want)
+                for N in (100, 400, 1600)]
+        assert errs[0] > errs[1] > errs[2]
+        assert errs[2] < 1e-2

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 import sphefaffian
 from sphefaffian import cdi, finitekernel, limits
-from sphefaffian.cli import main
+from sphefaffian.cli import build_parser, main
 from sphefaffian.limits import LimitKernelSpec
 from sphefaffian.params import EnsembleParams
 
@@ -165,6 +166,20 @@ class TestKernel:
         assert all(math.isnan(e) for e in payload["sup_error"])
         assert payload["monotone"] is False
 
+    def test_inner_edge_compare_converges(self, tmp_path, monkeypatch):
+        # p = r1 = sqrt(1/2) selects the inner edge's own kernel, which the
+        # finite-N kernel approaches at the outer edge's N^{-1/2} rate
+        monkeypatch.chdir(tmp_path)
+        rc = main([
+            "kernel", "--regime", "strong", "--a", "1", "--b", "1", "--p", repr(math.sqrt(0.5)),
+            "--N", "10", "--compare", "--N-list", "25,100,400",
+            "--grid", "-0.5:0.5:0.5", "--out", "cmp",
+        ])
+        assert rc == 0
+        payload = json.loads((tmp_path / "cmp.compare.json").read_text())
+        assert payload["monotone"] is True
+        assert payload["sup_error"][-1] < 0.02
+
 
 class TestCheck:
     def test_cdi_passes(self, capsys):
@@ -190,6 +205,15 @@ class TestCheck:
     def test_ode_passes(self):
         rc = main(["check", "ode", "--variant", "weak", "--rho", "2"])
         assert rc == 0
+
+    def test_limit_names_are_the_kinds(self, capsys):
+        # --limit and --variant both take every kind of limits._KINDS, with - for _
+        names = [kind.replace("_", "-") for kind in limits._KINDS]
+        for sub in ("kernel", "check"):
+            with pytest.raises(SystemExit):
+                main([sub, "--help"])
+            assert "{" + ",".join(names) + "}" in capsys.readouterr().out
+        assert main(["check", "ode", "--variant", "strong-inner-edge"]) == 0
 
     def test_impossible_tolerance_exits_4(self):
         rc = main(["check", "cdi", "--N", "3", "--n", "6", "--L", "1", "--tol", "1e-30"])
@@ -368,3 +392,16 @@ class TestEntryPoint:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
+
+
+def test_readme_cli_lines_parse():
+    # every command of the README's CLI block parses (nothing is run), so a
+    # renamed flag or limit name cannot leave the README behind
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command-line interface", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("sphefaffian ")]
+    assert len(lines) >= 12
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line

@@ -30,7 +30,7 @@ from sphefaffian.finitekernel import (
     skew_kernel_via_sop,
     skew_op_system,
 )
-from sphefaffian.limits import LimitKernelSpec, kappa_strong
+from sphefaffian.limits import LimitKernelSpec, kappa
 
 
 def radial_weight(params, r):
@@ -381,7 +381,7 @@ class TestRescaled:
         # L=0 insertion-free origin limit equals the bulk erf kernel
         spec = LimitKernelSpec("strong_bulk")
         z, w = 0.5, -0.3j
-        want = kappa_strong(spec, z, w)
+        want = kappa(spec, z, w)
         errs = []
         for N in (40, 80, 160):
             reg = Origin(L=0.0, b=1.0)

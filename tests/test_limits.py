@@ -20,19 +20,19 @@ from sphefaffian.limits import (
     f_profile,
     f_profile_deriv,
     kappa,
-    kappa_origin,
     kappa_origin_gamma_form,
-    kappa_strong,
-    kappa_weak,
     limit_rk,
     ode_residual,
     wronskian_integral,
 )
+from sphefaffian.cdi import limiting_f
+from sphefaffian.params import Origin, Strong, Weak
 from sphefaffian.pfaffian import pfaffian_intensity
 from sphefaffian.specfun import erfc_c, mittag_leffler
 
 BULK = LimitKernelSpec("strong_bulk")
 EDGE = LimitKernelSpec("strong_edge")
+INNER = LimitKernelSpec("strong_inner_edge")
 WEAK = LimitKernelSpec("weak", rho=2.0)
 ORIGIN = LimitKernelSpec("origin", L=2.0)
 
@@ -236,61 +236,68 @@ class TestSpecs:
 
 class TestStrong:
     def test_diagonal_zero(self):
-        assert kappa_strong(BULK, 0.7, 0.7) == 0.0
+        assert kappa(BULK, 0.7, 0.7) == 0.0
 
     def test_bulk_closed_value(self):
         want = math.sqrt(math.pi) * math.e * 0.842700792949715
-        assert kappa_strong(BULK, 1.0, 0.0).real == pytest.approx(want, rel=1e-12)
+        assert kappa(BULK, 1.0, 0.0).real == pytest.approx(want, rel=1e-12)
 
     def test_edge_deep_bulk_agreement(self):
         z, w = -3.0, -2.5
-        vb = kappa_strong(BULK, z, w)
-        ve = kappa_strong(EDGE, z, w)
+        vb = kappa(BULK, z, w)
+        ve = kappa(EDGE, z, w)
         assert abs(ve - vb) < 1e-6 * abs(vb)
 
-    def test_edge_wrong_spec_rejected(self):
-        with pytest.raises(DomainError):
-            kappa_strong(LimitKernelSpec("weak", rho=1.0), 0.1, 0.2)
+    def test_inner_edge_is_the_outer_edge_mirrored(self):
+        for z, w in ((0.4 + 0.3j, -0.7 + 0.2j), (-1.3 - 0.5j, 0.6 + 1.1j)):
+            assert kappa(INNER, z, w) == kappa(EDGE, -w, -z)
+
+    def test_inner_edge_deep_bulk_agreement(self):
+        # the droplet lies on the inner edge's side Re z > 0
+        z, w = 3.0, 2.5
+        vb = kappa(BULK, z, w)
+        assert abs(kappa(INNER, z, w) - vb) < 1e-6 * abs(vb)
 
 
 class TestWeak:
     def test_diagonal_zero(self):
-        assert kappa_weak(2.0, 0.3 + 0.1j, 0.3 + 0.1j) == pytest.approx(0.0, abs=1e-13)
+        assert kappa(WEAK, 0.3 + 0.1j, 0.3 + 0.1j) == pytest.approx(0.0, abs=1e-13)
 
     def test_antisymmetry(self):
+        spec = LimitKernelSpec("weak", rho=1.5)
         rng = np.random.default_rng(0)
         for _ in range(5):
             z = rng.normal(scale=0.5) + 1j * rng.normal(scale=0.5)
             w = rng.normal(scale=0.5) + 1j * rng.normal(scale=0.5)
-            a = kappa_weak(1.5, z, w)
-            assert abs(a + kappa_weak(1.5, w, z)) <= 1e-10 * max(1.0, abs(a))
+            a = kappa(spec, z, w)
+            assert abs(a + kappa(spec, w, z)) <= 1e-10 * max(1.0, abs(a))
 
     def test_large_rho_recovers_bulk(self):
         z, w = 0.3, -0.1
-        assert abs(kappa_weak(25.0, z, w) - kappa_strong(BULK, z, w)) < 1e-6
+        assert abs(kappa(LimitKernelSpec("weak", rho=25.0), z, w) - kappa(BULK, z, w)) < 1e-6
 
 
 class TestOrigin:
     def test_diagonal_zero(self):
-        assert kappa_origin(1.0, 0.4, 0.4) == pytest.approx(0.0, abs=1e-14)
+        assert kappa(LimitKernelSpec("origin", L=1.0), 0.4, 0.4) == pytest.approx(0.0, abs=1e-14)
 
     def test_L0_equals_bulk(self):
         for (z, w) in [(0.7, 0.2j), (0.4 + 0.2j, -0.3)]:
-            a = kappa_origin(0.0, z, w)
-            b = kappa_strong(BULK, z, w)
+            a = kappa(LimitKernelSpec("origin", L=0.0), z, w)
+            b = kappa(BULK, z, w)
             assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
 
     @pytest.mark.parametrize("twoL", [2, 4])
     def test_gamma_representation_agreement(self, twoL):
         L = twoL / 2.0
         for (z, w) in [(0.5, 0.3), (0.4 + 0.2j, 0.6)]:
-            a = kappa_origin(L, z, w)
+            a = kappa(LimitKernelSpec("origin", L=L), z, w)
             b = kappa_origin_gamma_form(L, z, w)
             assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
 
     def test_branch_warning_on_negative_axis(self):
         with pytest.warns(BranchWarning):
-            kappa_origin(0.75, 1.0, -1.0)
+            kappa(LimitKernelSpec("origin", L=0.75), 1.0, -1.0)
 
     @pytest.mark.parametrize("L, z, w", [
         (50.0, 25.0, 24.0),  # (2zw)^{2L} overflows, the integral does not underflow
@@ -299,7 +306,7 @@ class TestOrigin:
     ])
     def test_kernel_outside_double_range_is_typed(self, L, z, w):
         with pytest.raises(DoubleRangeError):
-            kappa_origin(L, z, w)
+            kappa(LimitKernelSpec("origin", L=L), z, w)
 
     def test_integrand_overflow_is_typed_at_the_first_rule(self, monkeypatch):
         # e^{z^2} and E_{2,5}((2 s z w)^2) overflow on the first rule's nodes:
@@ -314,7 +321,7 @@ class TestOrigin:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DoubleRangeError):
-                kappa_origin(2.0, 20.0, 19.8)
+                kappa(LimitKernelSpec("origin", L=2.0), 20.0, 19.8)
         assert len(calls) == 1
 
 
@@ -349,7 +356,7 @@ class TestDoubleRange:
     def test_one_point_outside_the_droplet_vanishes(self, spec):
         assert 0.0 <= limit_rk(spec, [27.0 + 0.5j]) < 1e-12
 
-    @pytest.mark.parametrize("spec", [BULK, EDGE, WEAK, ORIGIN], ids=lambda s: s.kind)
+    @pytest.mark.parametrize("spec", [BULK, EDGE, INNER, WEAK, ORIGIN], ids=lambda s: s.kind)
     def test_ode_residual_is_finite_far_out(self, spec):
         resid, diag = ode_residual(spec, 27.0 + 0.1j, 0.1)
         assert math.isfinite(resid) and resid < 1e-6
@@ -381,9 +388,6 @@ class TestOde:
     def test_boundary_terms_are_load_bearing(self):
         # negative control: dropping the weak kernel's boundary terms must
         # break the ODE by an O(1) amount
-        from sphefaffian.cdi import limiting_f
-        from sphefaffian.params import Weak
-
         rho = 2.0
         half = rho / (2.0 * math.sqrt(2.0))
         z, w = 0.3, 0.2
@@ -398,6 +402,37 @@ class TestOde:
         dk = (k_no_boundary(z + h) - k_no_boundary(z - h)) / (2 * h)
         resid = abs(dk - limiting_f(Weak(rho=rho), z, w))
         assert resid > 1e-2
+
+
+class TestKinds:
+    """A regime names the kind of its own limit, so it selects the same
+    kernel and the same F as the LimitKernelSpec of that kind."""
+
+    # the grid of `check ode`
+    CHECK_GRID = [complex(x, y) for x in (-0.6, 0.2, 0.7) for y in (-0.5, 0.4)]
+    PAIRS = [
+        (Strong(a=1.0, b=1.0, p=1.0), BULK),
+        (Strong(a=1.0, b=1.0, p=math.sqrt(2.0)), EDGE),
+        (Strong(a=1.0, b=1.0, p=math.sqrt(0.5)), INNER),
+        (Weak(rho=2.0), WEAK),
+        (Origin(L=2.0, b=1.0), ORIGIN),
+    ]
+
+    @pytest.mark.parametrize("kind", limits._KINDS)
+    def test_ode_residual_for_every_kind(self, kind):
+        spec = LimitKernelSpec(kind, rho=2.0 if kind == "weak" else None,
+                               L=1.0 if kind == "origin" else None)
+        for z in self.CHECK_GRID:
+            for w in self.CHECK_GRID:
+                resid, diag = ode_residual(spec, z, w)
+                assert resid <= 1e-6 and diag < 1e-12, (z, w)
+
+    @pytest.mark.parametrize("regime, spec", PAIRS, ids=lambda v: v.kind)
+    def test_regime_selects_its_spec_bit_for_bit(self, regime, spec):
+        assert regime.kind == spec.kind
+        for z, w in ((0.4 + 0.3j, -0.7 + 0.2j), (-0.6 - 0.5j, 0.2 + 0.4j)):
+            assert kappa(regime, z, w) == kappa(spec, z, w)
+            assert limiting_f(spec, z, w) == limiting_f(regime, z, w)
 
 
 class TestLimitRk:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -174,3 +175,15 @@ class TestRegimes:
         pa = Origin(L=1.5, b=3.0).params_at(10)
         assert (pa.L, pa.n) == (1.5, 40.0)
         assert Origin(L=1.5, b=3.0).p == 0.0
+
+    @pytest.mark.parametrize("regime, kind", [
+        (Strong(a=1.0, b=1.0, p=math.sqrt(0.5)), "strong_inner_edge"),  # p = r1
+        (Strong(a=1.0, b=1.0, p=math.sqrt(2.0)), "strong_edge"),  # p = r2
+        (Strong(a=1.0, b=1.0, p=1.0), "strong_bulk"),
+        (Weak(rho=2.0), "weak"),
+        (Origin(L=2.0, b=1.0), "origin"),
+    ])
+    def test_regime_names_its_limit_kind(self, regime, kind):
+        assert regime.kind == kind
+        # derived or a class constant, never a field a caller could set
+        assert "kind" not in {f.name for f in dataclasses.fields(regime)}
