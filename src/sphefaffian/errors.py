@@ -22,7 +22,7 @@ class ConvergenceError(SphefaffianError, RuntimeError):
 
 
 class QuadratureError(SphefaffianError, RuntimeError):
-    """Adaptive quadrature did not reach the requested tolerance."""
+    """A quadrature did not reach the requested tolerance."""
 
 
 class NumericalError(SphefaffianError, RuntimeError):

@@ -7,7 +7,8 @@ phase averages u_l(b)/u_l.  The substitution t = r^2/(1+r^2) maps each
 radial weight to the Jacobi weight t^{2l+2L+1} (1-t)^{2(n-l)-1} on [0,1],
 so each average is one Gauss-Jacobi mean (``specfun._gauss``) whose
 weights sum to 1: no moment u_l is formed, and none leaves double range
-for n+L in the hundreds.  Only the macroscopic moments use adaptive quad.
+for n+L in the hundreds.  The macroscopic moments are Gauss-Legendre
+integrals over the droplet's radii on the same ``_gauss``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad  # bound only for perfbench's tracer
 
 from .errors import DegenerateSaddleWarning, DomainError, QuadratureError
 from .params import EnsembleParams, droplet
@@ -100,24 +101,21 @@ def exact_variance(params: EnsembleParams, stat: RadialStatistic) -> float:
     return total
 
 
-def _droplet_integral(params: EnsembleParams, f, what: str) -> float:
-    """int_{r1}^{r2} f(r) dr over the droplet's radii by adaptive quad."""
+def _droplet_integral(params: EnsembleParams, f) -> float:
+    """int_{r1}^{r2} f(r) dr over the droplet's radii, f called on node arrays."""
     geo = droplet(params)
-    val, err = quad(f, geo.r1, geo.r2, epsabs=1e-13, epsrel=1e-12, limit=200)
-    if err > 1e-8 * max(abs(val), 1e-30):
-        raise QuadratureError(f"asymptotic {what} quadrature unreliable")
-    return val
+    return _gauss(f, 0.0, 0.0, _JACOBI_NODES, geo.r1, geo.r2).real
 
 
 def asymptotic_mean(params: EnsembleParams, stat: RadialStatistic) -> float:
     """Macroscopic mean (n+L) * 2 int_{r1}^{r2} b(r) r (1+r^2)^{-2} dr."""
-    mean = _droplet_integral(params, lambda r: stat.b(r) * r / (1.0 + r * r) ** 2, "mean")
+    mean = _droplet_integral(params, lambda r: stat.b(r) * r / (1.0 + r * r) ** 2)
     return 2.0 * params.nl * mean
 
 
 def asymptotic_variance(params: EnsembleParams, stat: RadialStatistic) -> float:
     """Limiting variance of B, (1/4) int_{r1}^{r2} r b'(r)^2 dr."""
-    return 0.25 * _droplet_integral(params, lambda r: r * stat.b_prime(r) ** 2, "variance")
+    return 0.25 * _droplet_integral(params, lambda r: r * stat.b_prime(r) ** 2)
 
 
 @dataclass(frozen=True)

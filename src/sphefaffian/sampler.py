@@ -56,6 +56,8 @@ __all__ = [
     "empirical_radial_density",
 ]
 
+_PAIR_TOL_REL = 1e-8  # conjugate partners: largest gap, relative to max |lambda|
+
 
 @dataclass(frozen=True)
 class QuaternionMatrix:
@@ -156,11 +158,11 @@ class SampleBatch:
         return np.concatenate(self.eigen_pairs)
 
 
-def _pair_conjugates(lam: np.ndarray, tol_rel: float = 1e-8) -> np.ndarray:
+def _pair_conjugates(lam: np.ndarray) -> np.ndarray:
     """Pair a conjugation-closed spectrum by sorting on (real, imaginary)
     part; return the closed upper-half-plane representative of each pair."""
     pairs = lam[np.lexsort((lam.imag, lam.real))].reshape(-1, 2)
-    tol = tol_rel * max(float(np.max(np.abs(lam))), 1e-300)
+    tol = _PAIR_TOL_REL * max(float(np.max(np.abs(lam))), 1e-300)
     gap = np.abs(pairs[:, 0] - np.conj(pairs[:, 1]))
     bad = np.flatnonzero(~(gap <= tol))
     if bad.size:
@@ -284,16 +286,7 @@ def empirical_radial_density(batch: SampleBatch, bins) -> RadialHistogram:
     radii = np.abs(batch.all_points())
     counts, edges = np.histogram(radii, bins=bins)
     geo = droplet(batch.params)
-    nl = batch.params.nl
-
-    def cdf_mass(a: float, b: float) -> float:
-        lo = max(a, geo.r1)
-        hi = min(b, geo.r2)
-        if hi <= lo:
-            return 0.0
-        return 1.0 / (1.0 + lo * lo) - 1.0 / (1.0 + hi * hi)
-
-    predicted = np.array(
-        [batch.trials * nl * cdf_mass(edges[i], edges[i + 1]) for i in range(len(counts))]
-    )
+    lo, hi = np.maximum(edges[:-1], geo.r1), np.minimum(edges[1:], geo.r2)
+    mass = np.where(hi > lo, 1.0 / (1.0 + lo * lo) - 1.0 / (1.0 + hi * hi), 0.0)
+    predicted = batch.trials * batch.params.nl * mass
     return RadialHistogram(edges=edges, counts=counts, predicted=predicted)

@@ -5,12 +5,14 @@ outside double range keep their digits.  ``_common_scale``,
 ``_relative_gap``, ``_unscale``, ``_lbeta`` and ``_stirling_rest`` are its
 helpers; every other module imports them from here.
 
-Everything here is complex/real double precision; the first three take arrays:
+Everything here is complex/real double precision; the first four take arrays:
 
 * ``erfc_c`` / ``erf_c`` -- error functions of a complex argument, thin
   wrappers over scipy's Faddeeva-based ``erfc``/``erf`` (about 1e-13
   relative on |z| <= 10),
 * ``mittag_leffler`` -- two-parameter Mittag-Leffler series E_{a,b}(z),
+* ``inc_gamma_entire_part`` -- the incomplete gamma's entire part
+  E_c(z) = E_{1,c+1}(z), by Kummer's series where Re z < 0,
 * ``reg_inc_gamma_p`` -- regularised lower incomplete gamma P(c,z) for
   complex z along the straight ray from 0,
 * ``reg_inc_beta`` -- regularised incomplete beta I_x(a,b) in the cut
@@ -174,38 +176,45 @@ def mittag_leffler(a: float, b: float, z):
 
 # -- regularised incomplete gamma -------------------------------------------
 
-def inc_gamma_entire_part(c: float, z: complex) -> complex:
-    """The entire function E_c(z) = sum_{m>=0} z^m / Gamma(c+m+1).
+def inc_gamma_entire_part(c: float, z):
+    """The entire function E_c(z) = sum_{m>=0} z^m / Gamma(c+m+1), elementwise
+    on an ndarray z.
 
     P(c,z) factors as z^c e^{-z} E_c(z); exposing E_c lets callers choose
     the branch of z^c themselves (needed for the odd-in-w continuations
     of the limiting origin kernel).
 
+    Re z >= 0 is the Mittag-Leffler series E_{1,c+1}(z), by ``mittag_leffler``.
     Re z < 0 sums Kummer's E_c(z) = e^z/Gamma(c+1) sum_m c/(c+m) (-z)^m/m!
-    (m = 0 term 1), which keeps 1e-14 relative where the power series
-    cancels (3.7e9 at (2, -60)).  Near the imaginary axis both cancel, but
-    Kummer's less: 1.5e-6 against 1.3e-3 relative at (2, -5+30j).
+    (m = 0 term 1) one element at a time, which keeps 1e-14 relative where
+    the power series cancels (3.7e9 at (2, -60)).  Near the imaginary axis
+    both cancel, but Kummer's less: 1.5e-6 against 1.3e-3 relative at
+    (2, -5+30j).
     """
-    z = complex(z)
-    kummer = z.real < 0  # power: Kummer's (-z)^m/m!, a recurrence rounds less than exp()
-    total = power = 1.0 + 0.0j if kummer else complex(np.exp(-gammaln(c + 1.0)))
-    if z == 0:
-        return total
-    logz = cmath.log(z)
+    zs = np.asarray(z, dtype=complex)
+    flat = zs.ravel()
+    out = np.empty(flat.shape, dtype=complex)
+    right = flat.real >= 0
+    out[right] = mittag_leffler(1.0, c + 1.0, flat[right])
+    out[~right] = [_kummer(c, v) for v in flat[~right].tolist()]
+    return out.reshape(zs.shape) if zs.ndim else complex(out[0])
+
+
+def _kummer(c: float, z: complex) -> complex:
+    """E_c(z) by Kummer's series; its (-z)^m/m! by a recurrence, which rounds
+    less than exp()."""
+    total = power = 1.0 + 0.0j
     small_streak = 0
     for m in range(1, _MAX_TERMS + 1):
-        if kummer:
-            power *= -z / m
-            if cmath.isinf(power):
-                raise ConvergenceError(f"inc_gamma_entire_part(c={c}, z={z}) overflows")
-            t = c / (c + m) * power
-        else:
-            t = cmath.exp(m * logz - gammaln(c + m + 1.0))
+        power *= -z / m
+        if cmath.isinf(power):
+            raise ConvergenceError(f"inc_gamma_entire_part(c={c}, z={z}) overflows")
+        t = c / (c + m) * power
         total += t
         if abs(t) < _REL_TOL * abs(total):
             small_streak += 1
             if small_streak >= 3:
-                return cmath.exp(z - gammaln(c + 1.0)) * total if kummer else total
+                return cmath.exp(z - gammaln(c + 1.0)) * total
         else:
             small_streak = 0
     raise ConvergenceError(f"inc_gamma_entire_part(c={c}, z={z}) did not converge")

@@ -5,9 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import erfi
 
-from sphefaffian import limits, specfun
+from sphefaffian import cli, limits, linstat, specfun
 from sphefaffian.errors import (
     BranchWarning,
     DomainError,
@@ -26,7 +27,7 @@ from sphefaffian.limits import (
     wronskian_integral,
 )
 from sphefaffian.cdi import limiting_f
-from sphefaffian.params import Origin, Strong, Weak
+from sphefaffian.params import EnsembleParams, Origin, Strong, Weak
 from sphefaffian.pfaffian import pfaffian_intensity
 from sphefaffian.specfun import erfc_c, mittag_leffler
 
@@ -120,12 +121,19 @@ def _kappa_mp(spec, z, w):
         return complex(2 * x ** two_l * integral)
 
 
+def _cquad(f, lo, hi):
+    """Adaptive quadrature of a complex integrand; a warning fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        return quad(f, lo, hi, epsabs=1e-12, epsrel=1e-11, limit=300, complex_func=True)[0]
+
+
 def _kappa_adaptive(spec, z, w):
-    """The limit kernel with the Gauss rules replaced by adaptive _cquad."""
+    """The limit kernel with the Gauss rules replaced by adaptive quad."""
 
     def wronskian(lo, hi):
-        return limits._cquad(lambda u: f_profile(w, u) * f_profile_deriv(z, u)
-                             - f_profile(z, u) * f_profile_deriv(w, u), lo, hi)
+        return _cquad(lambda u: f_profile(w, u) * f_profile_deriv(z, u)
+                      - f_profile(z, u) * f_profile_deriv(w, u), lo, hi)
 
     pref = math.sqrt(math.pi) * cmath.exp(z * z + w * w)
     if spec.kind == "strong_edge":
@@ -135,7 +143,7 @@ def _kappa_adaptive(spec, z, w):
         boundary = f_profile(w, h) * f_profile(z, -h) - f_profile(z, h) * f_profile(w, -h)
         return pref * (wronskian(-h, h) + boundary)
     two_l, x = 2 * spec.L, 2.0 * z * w
-    integral = limits._cquad(lambda s: s ** two_l * (
+    integral = _cquad(lambda s: s ** two_l * (
         z * cmath.exp((1 - s * s) * z * z) - w * cmath.exp((1 - s * s) * w * w)
     ) * mittag_leffler(2.0, 1.0 + two_l, (s * x) ** 2), 0.0, 1.0)
     return 2.0 * x ** two_l * integral
@@ -287,13 +295,41 @@ class TestOrigin:
             b = kappa(BULK, z, w)
             assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
 
-    @pytest.mark.parametrize("twoL", [2, 4])
+    @pytest.mark.parametrize("twoL", [1.5, 2, 2.5, 4])
     def test_gamma_representation_agreement(self, twoL):
         L = twoL / 2.0
         for (z, w) in [(0.5, 0.3), (0.4 + 0.2j, 0.6)]:
             a = kappa(LimitKernelSpec("origin", L=L), z, w)
             b = kappa_origin_gamma_form(L, z, w)
             assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
+
+    @pytest.mark.parametrize("L", [0.3, 0.75, 1.25])
+    def test_gamma_form_against_30_digit_oracle(self, L):
+        # z w in each quadrant: at non-integer 2L the upper half plane once
+        # took the wrong branch of (-1)^{-2L} (relative errors of order 1)
+        for z, w in [(0.5, 0.3 + 0.4j), (-0.5, 0.3 - 0.4j), (-0.9 + 0.2j, 1.1 + 0.6j),
+                     (1.2 - 0.7j, 0.4 + 1.3j)]:
+            want = _kappa_mp(LimitKernelSpec("origin", L=L), z, w)
+            assert abs(kappa_origin_gamma_form(L, z, w) - want) <= 1e-11 * abs(want), (z, w)
+
+    @pytest.mark.parametrize("L", [0.0, 0.3, 0.5, 0.75, 1.0, 1.25, 2.0, 2.5])
+    def test_gamma_form_matches_kappa_and_conjugation(self, L):
+        rng = np.random.default_rng(int(4 * L))
+        for _ in range(5):
+            z, w = rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)
+            got = kappa_origin_gamma_form(L, z, w)
+            want = kappa(LimitKernelSpec("origin", L=L), z, w)
+            assert abs(got - want) <= 1e-11 * abs(want), (z, w)
+            mirror = kappa_origin_gamma_form(L, z.conjugate(), w.conjugate())
+            assert abs(mirror - got.conjugate()) <= 1e-14 * abs(got), (z, w)
+
+    @pytest.mark.parametrize("z, w", [(20.0, 19.8), (30.0, 0.1)])
+    def test_gamma_form_overflow_is_typed(self, z, w):
+        # kappa raises DoubleRangeError here too; no bare OverflowError, no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DoubleRangeError):
+                kappa_origin_gamma_form(2.0, z, w)
 
     def test_branch_warning_on_negative_axis(self):
         with pytest.warns(BranchWarning):
@@ -493,3 +529,20 @@ class TestLimitRk:
         assert phased == pytest.approx(r3 * (1 - 3e-6), rel=1e-8)
         with pytest.raises(NumericalError):
             pfaffian_intensity(points, lambda x, y: entry(x, y) + 1e-4j, tol=1e-8)
+
+
+def test_library_runs_no_adaptive_quadrature(monkeypatch, tmp_path):
+    # limits.quad and linstat.quad stay bound only for perfbench's tracer
+    def refuse(*args, **kwargs):
+        raise AssertionError("adaptive quad called")
+
+    monkeypatch.setattr(limits, "quad", refuse)
+    monkeypatch.setattr(linstat, "quad", refuse)
+    kappa_origin_gamma_form(0.75, 0.5, 0.3 + 0.4j)
+    params = EnsembleParams(N=5, n=11.0, L=1.0)
+    stat = linstat.RadialStatistic.r_squared()
+    linstat.asymptotic_mean(params, stat)
+    linstat.asymptotic_variance(params, stat)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["linstat", "--b", "r2", "--N", "3", "--n", "6", "--L", "3",
+                     "--trials", "2"]) == 0

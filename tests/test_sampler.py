@@ -299,6 +299,20 @@ class TestRadialHistogram:
         h = empirical_radial_density(batch, bins=edges)
         assert h.predicted[0] == 0.0
 
+    def test_prediction_matches_per_bin_clipping(self):
+        pa = EnsembleParams(N=10, n=20.0, L=10.0)
+        batch = sample_ensemble(pa, trials=5, seed=14)
+        geo = droplet(pa)
+        edges = np.array([0.0, 0.5 * geo.r1, 1.1 * geo.r1, geo.r2, 0.7 * geo.r2 + 0.9, 4.0])
+        h = empirical_radial_density(batch, bins=edges)
+
+        def clipped_mass(a, b):
+            lo, hi = max(a, geo.r1), min(b, geo.r2)
+            return 1.0 / (1.0 + lo * lo) - 1.0 / (1.0 + hi * hi) if hi > lo else 0.0
+
+        want = [5 * pa.nl * clipped_mass(a, b) for a, b in zip(edges[:-1], edges[1:])]
+        np.testing.assert_array_equal(h.predicted, want)
+
 
 class TestRadialLaw:
     @pytest.mark.parametrize(

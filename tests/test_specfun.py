@@ -207,6 +207,10 @@ class TestIncGamma:
         # than the power series (5.3e-6 and 1.3e-3 there)
         (0.5, -3.0 + 20.0j, 1e-9),
         (2.0, -5.0 + 30.0j, 1e-5),
+        # Re z >= 0: the Mittag-Leffler series E_{1,c+1}
+        (2.0, 5.0 + 3.0j, 1e-13),
+        (1.5, 20.0 + 1.0j, 1e-13),
+        (0.5, 4.0j, 1e-13),
     ])
     def test_entire_part_against_mpmath(self, c, z, tol):
         # E_c(z) = 1F1(1; c+1; z) / Gamma(c+1), at 50 digits
@@ -218,6 +222,17 @@ class TestIncGamma:
     def test_entire_part_overflow_is_typed(self):
         with pytest.raises(ConvergenceError):
             inc_gamma_entire_part(2.0, -800.0)
+        with pytest.raises(ConvergenceError):
+            inc_gamma_entire_part(2.0, np.array([1.0, -800.0]))
+
+    @pytest.mark.parametrize("c", [0.0, 0.6, 2.0])
+    def test_entire_part_of_an_array_is_elementwise(self, c):
+        z = np.array([[0.0, 1.5 - 2.0j, -3.0 + 1.0j],
+                      [-0.5j, -7.0, 4.0 + 4.0j]])
+        got = inc_gamma_entire_part(c, z)
+        assert got.shape == z.shape
+        np.testing.assert_array_equal(got, [[inc_gamma_entire_part(c, v) for v in row]
+                                            for row in z.tolist()])
 
 
 def _inc_beta(x, a, b):
